@@ -27,6 +27,7 @@ from stopbp.exact_engine import (
     absorb_via_restricted,
     enumerate_states,
     limiting_absorption,
+    limiting_absorptions,
     one_step_kernel,
     restricted_kernel,
     stop_coefficients,
@@ -91,6 +92,7 @@ __all__ = [
     "iterate_h",
     "iterate_survival",
     "limiting_absorption",
+    "limiting_absorptions",
     "load_model",
     "make_s_grid",
     "mean_dominance",

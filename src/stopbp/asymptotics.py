@@ -254,7 +254,11 @@ def periodicity_probe(
     (one period further in log_delta scale); the self-similarity defect is
     the gap between the two absorption probabilities.  Rows with
     nbar <= pre_asymptotic_factor * r0 are flagged pre-asymptotic rather
-    than rejected.  Fails when the accumulated overflow bound of any row
+    than rejected.  Every grid and partner start is checked against the cap
+    before the kernel is built, and all of them share one backward series
+    pass (``exact_engine.limiting_absorptions``).  The first-passage horizon
+    is sized from the largest start, so each row's ``series_bound`` stays
+    below 1.1 * tol.  Fails when the accumulated overflow bound of any row
     exceeds ``overflow_limit`` (cap too small for the requested totals).
     """
     summary = spectral.perron_triple(spectral.moments(model))
@@ -265,60 +269,63 @@ def periodicity_probe(
     a = np.asarray(a, dtype=float)
     delta = summary.delta
 
+    mains = [_adjust_start(round_to_direction(int(nbar), a), stopping, a)
+             for nbar in nbar_grid]
+    partners = [
+        _adjust_start(round_to_direction(int(round(m.total / delta)), a), stopping, a)
+        for m in mains
+    ]
+    starts = [s for pair in zip(mains, partners) for s in pair]
+    for start in starts:
+        if start.total > cap:
+            raise exact_engine.CapacityError(
+                f"start total {start.total} exceeds the cap {cap} "
+                "(partners reach round(nbar / delta)); raise the cap"
+            )
+
     space = exact_engine.enumerate_states(model.k, cap, limit=state_limit)
     kernel = exact_engine.one_step_kernel(model, space)
-    # first-passage horizon long enough that the coefficient tail is dead
+    # first-passage horizon long enough that the coefficient tail is dead:
+    # at most tol/10 even summed over the whole series of the largest start
+    whole_series = max(
+        (exact_engine.geometric_tail_bound(summary, s.counts, 0) for s in starts),
+        default=0.0,
+    )
     t_tail = max(
         20,
-        int(
-            math.ceil(
-                math.log(tol / 10.0)
-                / math.log(delta)
-            )
-        )
-        + stopping.max_total,
+        int(math.ceil(math.log(tol / 10.0) / math.log(delta))) + stopping.max_total,
     )
+    while whole_series * max(
+        exact_engine.geometric_tail_bound(summary, m.counts, t_tail) for m in stopping
+    ) > tol / 10.0:
+        t_tail += 1
     restricted = exact_engine.restricted_kernel(kernel, stopping, t_tail)
     coeffs = exact_engine.stop_coefficients(restricted, summary=summary)
+    results = exact_engine.limiting_absorptions(
+        kernel, restricted, summary, starts, r, tol=tol, coefficients=coeffs
+    )
 
     report = ProbeReport(target=r, delta=delta, cap=cap)
     threshold = pre_asymptotic_factor * stopping.max_total
-
-    def evaluate(nbar: int, as_partner: bool) -> ProbeRow:
-        start = _adjust_start(round_to_direction(nbar, a), stopping, a)
-        actual = start.total
-        if start not in space:
-            raise exact_engine.CapacityError(
-                f"start total {actual} exceeds the cap {cap} "
-                "(partners reach round(nbar / delta)); raise the cap"
-            )
-        result = exact_engine.limiting_absorption(
-            kernel, restricted, summary, start, r, tol=tol, coefficients=coeffs
-        )
+    for i, (start, result) in enumerate(zip(starts, results)):
         if result.overflow_mass > overflow_limit:
             raise exact_engine.CapacityError(
                 f"overflow bound {result.overflow_mass:.3g} exceeds "
-                f"{overflow_limit} at nbar={actual}; raise the cap"
+                f"{overflow_limit} at nbar={start.total}; raise the cap"
             )
-        return ProbeRow(
+        report.rows.append(ProbeRow(
             state=start,
-            nbar=actual,
-            x_frac=_fractional_log(actual, delta),
+            nbar=start.total,
+            x_frac=_fractional_log(start.total, delta),
             q=result.value,
             series_bound=result.tail_bound,
             overflow=result.overflow_mass,
-            pre_asymptotic=actual <= threshold,
-            is_partner=as_partner,
-        )
-
-    for nbar in nbar_grid:
-        row = evaluate(int(nbar), as_partner=False)
-        partner_total = int(round(row.nbar / delta))
-        partner = evaluate(partner_total, as_partner=True)
+            pre_asymptotic=start.total <= threshold,
+            is_partner=i % 2 == 1,
+        ))
+    for row, partner in zip(report.rows[::2], report.rows[1::2]):
         row.partner_nbar = partner.nbar
         row.defect = abs(row.q - partner.q)
-        report.rows.append(row)
-        report.rows.append(partner)
     return report
 
 

@@ -603,6 +603,105 @@ class LimitingAbsorption:
     terms: int
 
 
+def _series_length(summary, counts, cmax: float, tol: float, max_terms: int):
+    """Terms l and tail bound of the series from ``counts``: the first l
+    whose geometric tail bound, scaled by ``cmax``, drops below ``tol``."""
+    l = 0
+    while True:
+        l += 1
+        if l > max_terms:
+            raise ArithmeticError(f"series did not meet tol={tol} in {max_terms} terms")
+        tail = cmax * geometric_tail_bound(summary, counts, l)
+        if tail < tol:
+            return l, tail
+
+
+def limiting_absorptions(
+    kernel: TransitionKernel,
+    restricted: RestrictedKernel,
+    summary,
+    starts: Sequence[PopulationState],
+    r: PopulationState,
+    tol: float = 1e-10,
+    coefficients: Optional[StopCoefficients] = None,
+    max_terms: int = 100_000,
+) -> list[LimitingAbsorption]:
+    """Infinite-horizon absorption probabilities from many starts.
+
+    q(n -> r) = sum_l (e_n K^l) c, where c holds the limit stop
+    coefficients at the stopping ordinals.  Each start n keeps its own
+    truncation: l_n terms, the first l whose geometric tail bound (from the
+    spectral summary's Perron root) drops below ``tol``.  Refuses
+    non-subcritical models, for which the tail bound is invalid.  Each
+    reported bound adds the stop-coefficient truncation error over the
+    whole series; the overflow mass the free chain accumulates within l_n
+    steps is reported separately.
+
+    One start runs forward: a row e_n K^l, one matvec per term, with the
+    overflow read off the row.  Several starts share one backward pass over
+    two columns, K^l c and K^l e_overflow, one matvec per column per term up
+    to the largest l_n; each start reads its partial sum and overflow mass
+    at its own l_n, so values differ from per-start forward sums only by
+    rounding.
+    """
+    if not summary.delta < 1.0:
+        raise ValueError(
+            f"series requires a subcritical model (delta={summary.delta:.6g} >= 1)"
+        )
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    space = kernel.space
+    starts = list(starts)
+    for n in starts:
+        _check_start(space, restricted.stopping, n, r)
+    if coefficients is None:
+        coefficients = stop_coefficients(restricted, summary=summary)
+    states = coefficients.states
+    ordinals = [space.ordinal(a) for a in states]
+    r_idx = states.index(r)
+    climits = coefficients.limits[:, r_idx]
+    cbound = float(coefficients.limit_bounds[:, r_idx].max())
+    cmax = max(float(np.abs(climits).max()), 1e-300)
+    lengths = [_series_length(summary, n.counts, cmax, tol, max_terms) for n in starts]
+    rows = [space.ordinal(n) for n in starts]
+    matrix = kernel.matrix
+
+    if len(starts) == 1:
+        v = np.zeros(space.size)
+        v[rows[0]] = 1.0
+        total = 0.0
+        for _ in range(lengths[0][0]):
+            v = v @ matrix
+            total += float(np.dot(climits, v[ordinals]))
+        values, overflow = [total], [float(v[space.overflow])]
+    else:
+        rows = np.array(rows)
+        terms = np.array([l for l, _ in lengths])
+        col = np.zeros(space.size)
+        col[ordinals] = climits
+        ov = np.zeros(space.size)
+        ov[space.overflow] = 1.0
+        sums = np.zeros(len(rows))
+        values, overflow = np.empty(len(rows)), np.empty(len(rows))
+        for l in range(1, int(terms.max(initial=0)) + 1):
+            col = matrix @ col
+            ov = matrix @ ov
+            sums += col[rows]
+            due = terms == l
+            values[due] = sums[due]
+            overflow[due] = ov[rows[due]]
+    return [
+        LimitingAbsorption(
+            value=float(value),
+            # stop-coefficient truncation over the whole series
+            tail_bound=tail + cbound * geometric_tail_bound(summary, n.counts, 0),
+            overflow_mass=float(mass),
+            terms=l,
+        )
+        for n, (l, tail), value, mass in zip(starts, lengths, values, overflow)
+    ]
+
+
 def limiting_absorption(
     kernel: TransitionKernel,
     restricted: RestrictedKernel,
@@ -613,55 +712,11 @@ def limiting_absorption(
     coefficients: Optional[StopCoefficients] = None,
     max_terms: int = 100_000,
 ) -> LimitingAbsorption:
-    """Infinite-horizon absorption probability by series summation.
-
-    Sums limit stop-coefficients against free-chain hitting probabilities,
-    truncating once the geometric tail bound (from the spectral summary's
-    Perron root) drops below ``tol``.  Refuses non-subcritical models, for
-    which the tail bound is invalid.  The reported bound adds the
-    stop-coefficient truncation error; the overflow mass accumulated by the
-    free chain is reported separately.
-    """
-    if not summary.delta < 1.0:
-        raise ValueError(
-            f"series requires a subcritical model (delta={summary.delta:.6g} >= 1)"
-        )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    space = kernel.space
-    _check_start(space, restricted.stopping, n, r)
-    if coefficients is None:
-        coefficients = stop_coefficients(restricted, summary=summary)
-    states = coefficients.states
-    ordinals = [space.ordinal(a) for a in states]
-    r_idx = states.index(r)
-    climits = coefficients.limits[:, r_idx]
-    cbound = float(coefficients.limit_bounds[:, r_idx].max())
-    cmax = max(float(np.abs(climits).max()), 1e-300)
-
-    # contribution of the stop-coefficient truncation over the whole series
-    whole_series = geometric_tail_bound(summary, n.counts, 0)
-    coeff_term = cbound * whole_series
-
-    v = np.zeros(space.size)
-    v[space.ordinal(n)] = 1.0
-    total = 0.0
-    l = 0
-    while True:
-        l += 1
-        if l > max_terms:
-            raise ArithmeticError(f"series did not meet tol={tol} in {max_terms} terms")
-        v = v @ kernel.matrix
-        total += float(np.dot(climits, v[ordinals]))
-        tail = cmax * geometric_tail_bound(summary, n.counts, l)
-        if tail < tol:
-            break
-    return LimitingAbsorption(
-        value=total,
-        tail_bound=tail + coeff_term,
-        overflow_mass=float(v[space.overflow]),
-        terms=l,
-    )
+    """Infinite-horizon absorption probability from one start (forward row);
+    see ``limiting_absorptions``."""
+    return limiting_absorptions(
+        kernel, restricted, summary, [n], r, tol, coefficients, max_terms
+    )[0]
 
 
 # ---------------------------------------------------------------------------

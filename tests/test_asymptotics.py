@@ -176,10 +176,29 @@ class TestPeriodicityProbe:
         with pytest.raises(CapacityError):
             periodicity_probe(model, stopping, S((2,)), [1.0], [150], cap=160)
 
+    def test_overflow_above_limit(self, m1):
+        model, stopping = m1
+        with pytest.raises(CapacityError, match="overflow bound"):
+            periodicity_probe(
+                model, stopping, S((2,)), [1.0], [20], cap=40, overflow_limit=1e-12
+            )
+
     def test_supercritical_rejected(self, supercritical):
         model, stopping = supercritical
         with pytest.raises(ValueError, match="subcritical"):
             periodicity_probe(model, stopping, S((2,)), [1.0], [50], cap=400)
+
+    def test_rows_certified_to_tol(self, m1):
+        # the coefficient truncation, summed over the whole series of the
+        # largest start, must not push any row's bound past tol
+        model, stopping = m1
+        tol = 1e-9
+        report = periodicity_probe(
+            model, stopping, S((2,)), [1.0], [70, 150, 300, 800], cap=4000, tol=tol
+        )
+        assert max(row.nbar for row in report.rows) > 800
+        for row in report.rows:
+            assert row.series_bound <= 2 * tol, row.nbar
 
     def test_csv(self, m1_probe, tmp_path):
         path = tmp_path / "probe.csv"

@@ -14,6 +14,7 @@ from stopbp.exact_engine import (
     enumerate_states,
     hitting_columns,
     limiting_absorption,
+    limiting_absorptions,
     one_step_kernel,
     restricted_kernel,
     restricted_via_inclusion_exclusion,
@@ -378,6 +379,39 @@ class TestLimitingAbsorption:
         restricted = restricted_kernel(kernel, stopping, 10)
         with pytest.raises(ValueError, match="subcritical"):
             limiting_absorption(kernel, restricted, summary, S((1,)), S((2,)))
+
+    @pytest.mark.parametrize("name, cap, starts, overflows", [
+        ("m1", 200, [(1,), (7,), (40,), (150,)], False),
+        ("m1", 30, [(1,), (9,), (25,)], True),
+        ("m2", 24, [(0, 2), (3, 1), (5, 5), (10, 0)], False),
+    ])
+    def test_many_starts_match_single_start(self, request, name, cap, starts, overflows):
+        # one backward pass for all starts against one forward row per start
+        model, stopping = request.getfixturevalue(name)
+        summary = perron_triple(moments(model))
+        kernel = one_step_kernel(model, enumerate_states(model.k, cap))
+        restricted = restricted_kernel(kernel, stopping, 60)
+        r = stopping.sorted_members()[0]
+        starts = [S(counts) for counts in starts]
+        many = limiting_absorptions(kernel, restricted, summary, starts, r, tol=1e-10)
+        assert len(many) == len(starts)
+        for n, got in zip(starts, many):
+            one = limiting_absorption(kernel, restricted, summary, n, r, tol=1e-10)
+            assert got.terms == one.terms
+            assert got.tail_bound == one.tail_bound
+            assert abs(got.value - one.value) <= 1e-14
+            assert abs(got.overflow_mass - one.overflow_mass) <= 1e-14
+        assert (max(res.overflow_mass for res in many) > 1e-6) == overflows
+
+    def test_many_starts_rejects_stopping_start(self, m1):
+        model, stopping = m1
+        summary = perron_triple(moments(model))
+        kernel = one_step_kernel(model, enumerate_states(1, 20))
+        restricted = restricted_kernel(kernel, stopping, 20)
+        with pytest.raises(ValueError, match="inside the stopping set"):
+            limiting_absorptions(
+                kernel, restricted, summary, [S((1,)), S((2,))], S((2,))
+            )
 
 
 class TestAbsorptionTable:
