@@ -56,8 +56,6 @@ from stopbp.genfun import (
 from stopbp.montecarlo import (
     estimate_absorption,
     estimate_yaglom,
-    run_stopped,
-    step,
 )
 from stopbp.asymptotics import (
     build_cyclic_model,
@@ -104,9 +102,7 @@ __all__ = [
     "perron_triple",
     "ratio_limit",
     "restricted_kernel",
-    "run_stopped",
     "second_moments",
-    "step",
     "stop_coefficients",
     "survival_constant",
     "survival_constants",

@@ -244,7 +244,6 @@ def periodicity_probe(
     nbar_grid: Sequence[int],
     cap: int,
     tol: float = 1e-9,
-    state_limit: int = exact_engine.DEFAULT_STATE_LIMIT,
     overflow_limit: float = 0.05,
     pre_asymptotic_factor: int = 10,
 ) -> ProbeReport:
@@ -283,7 +282,7 @@ def periodicity_probe(
                 "(partners reach round(nbar / delta)); raise the cap"
             )
 
-    space = exact_engine.enumerate_states(model.k, cap, limit=state_limit)
+    space = exact_engine.enumerate_states(model.k, cap)
     kernel = exact_engine.one_step_kernel(model, space)
     # first-passage horizon long enough that the coefficient tail is dead:
     # at most tol/10 even summed over the whole series of the largest start

@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 
 _CONFIG_KEYS = {
     "model", "stop_set", "cap", "t", "tol", "seed", "reps", "workers", "out",
-    "n", "r", "j", "a", "n_grid", "what", "k_ref",
+    "n", "r", "j", "a", "n_grid", "what",
 }
 
 _DEFAULTS = {
@@ -78,7 +78,6 @@ class RunConfig:
     a: Optional[str] = None
     n_grid: Optional[str] = None
     what: str = "absorption"
-    k_ref: int = 1
     inject_fault: bool = False
 
     def validate(self):

@@ -19,6 +19,7 @@ provided and cross-checked in the test suite:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -27,7 +28,19 @@ import numpy as np
 from stopbp.model import BranchingModel, PopulationState, StoppingSet
 
 KERNEL_TOL = 1e-12
-DEFAULT_STATE_LIMIT = 1_000_000
+
+
+def _default_state_limit() -> int:
+    """Largest state count S whose dense float64 kernel, (S+1)^2 * 8 bytes
+    with the overflow sentinel, fits in half of physical memory."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: assume 8 GiB
+        memory = 8 << 30
+    return math.isqrt(memory // 16) - 1
+
+
+DEFAULT_STATE_LIMIT = _default_state_limit()
 
 
 class CapacityError(RuntimeError):
@@ -106,7 +119,8 @@ def enumerate_states(k: int, cap: int, limit: int = DEFAULT_STATE_LIMIT) -> Stat
     count = math.comb(cap + k, k)
     if count > limit:
         raise CapacityError(
-            f"{count} states for k={k}, cap={cap} exceeds the limit {limit}"
+            f"{count} states for k={k}, cap={cap} exceeds the limit {limit}: "
+            f"the dense kernel would take {(count + 1) ** 2 * 8} bytes"
         )
     states = []
     for total in range(cap + 1):

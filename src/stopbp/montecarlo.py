@@ -6,8 +6,10 @@ function mix(key(s, i) + gamma * c).  Trajectories therefore produce
 identical outcomes no matter how they are batched or spread over workers,
 and estimates are bit-exact reproducible from (seed, reps) alone.
 
-``step`` and ``run_stopped`` are scalar single-trajectory entry points that
-accept any numpy Generator; the estimators use the batched engine.
+One batched engine, ``_simulate_stopped_batch``, runs every trajectory; the
+conditional-law estimator runs it with an empty stopping set (the free
+process).  ``workers`` splits the trajectory indices into that many
+contiguous ranges, each simulated on its own thread.
 """
 
 from __future__ import annotations
@@ -16,15 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import sqrt
+from typing import Callable, Iterable
 
 import numpy as np
 
 from stopbp.model import BranchingModel, PopulationState, StoppingSet, unit_state
-
-STATUS_DIED = "died_out"
-STATUS_STOPPED = "stopped"
-STATUS_ALIVE = "alive"
-STATUS_EXPLODED = "exploded"
 
 EXPLOSION_LIMIT = 10**7
 
@@ -98,53 +96,6 @@ def _samplers(model: BranchingModel) -> tuple[AliasSampler, ...]:
 
 
 # ---------------------------------------------------------------------------
-# scalar single-trajectory API
-
-
-@dataclass(eq=False)
-class TrajectoryOutcome:
-    status: str
-    state: PopulationState
-    steps: int
-
-
-def step(state: PopulationState, model: BranchingModel, rng: np.random.Generator) -> PopulationState:
-    """One generation: every particle draws offspring independently."""
-    samplers = _samplers(model)
-    total = np.zeros(model.k, dtype=np.int64)
-    for i, c in enumerate(state.counts):
-        if c == 0:
-            continue
-        picks = samplers[i].pick(rng.random(c))
-        total += samplers[i].atoms[picks].sum(axis=0)
-    return PopulationState(tuple(int(x) for x in total))
-
-
-def run_stopped(
-    n: PopulationState,
-    stopping: StoppingSet,
-    model: BranchingModel,
-    t_max: int,
-    rng: np.random.Generator,
-) -> TrajectoryOutcome:
-    """Simulate until first entry into the stopping set, extinction, or horizon."""
-    if n.is_zero:
-        raise ValueError("cannot start from the zero state")
-    if n in stopping:
-        raise ValueError(f"start {n.label()} lies inside the stopping set")
-    state = n
-    for t in range(1, t_max + 1):
-        state = step(state, model, rng)
-        if state.is_zero:
-            return TrajectoryOutcome(STATUS_DIED, state, t)
-        if state in stopping:
-            return TrajectoryOutcome(STATUS_STOPPED, state, t)
-        if state.total > EXPLOSION_LIMIT:
-            return TrajectoryOutcome(STATUS_EXPLODED, state, t)
-    return TrajectoryOutcome(STATUS_ALIVE, state, t_max)
-
-
-# ---------------------------------------------------------------------------
 # batched engine
 
 
@@ -175,7 +126,7 @@ def _batch_step(
     return out
 
 
-def _stop_mask(states: np.ndarray, stopping: StoppingSet) -> np.ndarray:
+def _stop_mask(states: np.ndarray, stopping: Iterable[PopulationState]) -> np.ndarray:
     mask = np.zeros(states.shape[0], dtype=bool)
     for member in stopping:
         mask |= np.all(states == np.asarray(member.counts), axis=1)
@@ -185,14 +136,15 @@ def _stop_mask(states: np.ndarray, stopping: StoppingSet) -> np.ndarray:
 def _simulate_stopped_batch(
     model: BranchingModel,
     start: PopulationState,
-    stopping: StoppingSet,
+    stopping: Iterable[PopulationState],
     t_max: int,
     seed: int,
     indices: np.ndarray,
 ):
     """Outcome arrays (status code, final state rows, steps) for given trajectories.
 
-    Status codes: 0 alive, 1 died, 2 stopped, 3 exploded.
+    Status codes: 0 alive, 1 died, 2 stopped, 3 exploded (total above
+    ``EXPLOSION_LIMIT``).  An empty ``stopping`` runs the free process.
     """
     samplers = _samplers(model)
     m = len(indices)
@@ -219,14 +171,12 @@ def _simulate_stopped_batch(
                 died[done], 1, np.where(stopped[done], 2, 3)
             ).astype(np.int8)
             steps[rows] = t
-            final[rows] = states[done]
-        keep = ~done
-        active = active[keep]
-        states = states[keep]
-        keys = keys[keep]
-        counters = counters[keep]
-    if active.size:
-        final[active] = states
+            final[rows] = states.compress(done, axis=0)
+        # compress/take pick rows several times faster than boolean indexing
+        keep = np.flatnonzero(~done)
+        active, keys, counters = active[keep], keys[keep], counters[keep]
+        states = states.take(keep, axis=0)
+    final[active] = states
     return status, final, steps
 
 
@@ -242,9 +192,15 @@ class Estimate:
         return abs(self.value - exact) <= sigmas * self.stderr
 
 
-def _worker_ranges(reps: int, workers: int) -> list[np.ndarray]:
-    bounds = np.linspace(0, reps, workers + 1, dtype=np.int64)
-    return [np.arange(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+def _map_workers(fn: Callable[[np.ndarray], object], reps: int, workers: int) -> list:
+    """``fn`` on each of ``workers`` contiguous ranges of indices 0..reps-1,
+    in range order: one range runs in the calling thread, several in a pool."""
+    bounds = np.linspace(0, reps, max(1, workers) + 1, dtype=np.int64)
+    ranges = [np.arange(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    if len(ranges) == 1:
+        return [fn(ranges[0])]
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        return list(pool.map(fn, ranges))
 
 
 def estimate_absorption(
@@ -277,12 +233,7 @@ def estimate_absorption(
         hit = (status == 2) & np.all(final == target, axis=1) & (steps <= t)
         return int(hit.sum())
 
-    ranges = _worker_ranges(reps, max(1, workers))
-    if len(ranges) == 1:
-        hits = count_hits(ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            hits = sum(pool.map(count_hits, ranges))
+    hits = sum(_map_workers(count_hits, reps, workers))
     p = hits / reps
     return Estimate(
         value=p, stderr=sqrt(p * (1.0 - p) / reps), reps=reps, seed=seed, hits=hits
@@ -350,33 +301,19 @@ def estimate_yaglom(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     start = unit_state(j, model.k)
-    samplers = _samplers(model)
 
     def run(indices: np.ndarray):
-        # extinct rows are all-zero: they draw nothing and stay put, so the
-        # free process needs no filtering
-        m = len(indices)
-        states = np.tile(np.asarray(start.counts, dtype=np.int64), (m, 1))
-        keys = trajectory_keys(seed, indices)
-        counters = np.zeros(m, dtype=np.uint64)
-        for _ in range(t):
-            if not states.any():
-                break
-            states = _batch_step(states, keys, counters, samplers)
-        alive = states.sum(axis=1) > 0
-        uniq, cnt = np.unique(states[alive], axis=0, return_counts=True)
-        return {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}
+        status, final, _ = _simulate_stopped_batch(model, start, (), t, seed, indices)
+        if np.any(status == 3):
+            raise ValueError(
+                f"a trajectory exceeded {EXPLOSION_LIMIT} particles by t={t}; "
+                "the conditional law needs a subcritical model"
+            )
+        return final[status == 0]
 
-    ranges = _worker_ranges(reps, max(1, workers))
-    if len(ranges) == 1:
-        merged = run(ranges[0])
-    else:
-        merged = {}
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            for part in pool.map(run, ranges):
-                for key, c in part.items():
-                    merged[key] = merged.get(key, 0) + c
-    survivors = sum(merged.values())
+    alive = np.concatenate(_map_workers(run, reps, workers))
+    uniq, cnt = np.unique(alive, axis=0, return_counts=True)
+    counts = {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}
     return YaglomEstimate(
-        source_type=j, t=t, reps=reps, seed=seed, survivors=survivors, counts=merged
+        source_type=j, t=t, reps=reps, seed=seed, survivors=len(alive), counts=counts
     )

@@ -210,6 +210,15 @@ class TestEstimate:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("conditioning_frequency,")
 
+    def test_yaglom_explosion_exit_2(self, super_path, tmp_path, monkeypatch):
+        import stopbp.montecarlo as mc
+
+        monkeypatch.setattr(mc, "EXPLOSION_LIMIT", 5000)
+        assert main([
+            "estimate", "--model", super_path, "--what", "yaglom", "--j", "1",
+            "--t", "60", "--reps", "200", "--out", str(tmp_path / "est.csv"),
+        ]) == 2
+
     def test_worker_invariance_via_cli(self, m2_path, tmp_path):
         outs = []
         for w in ("1", "3"):
@@ -262,11 +271,12 @@ class TestConfigPrecedence:
 
     def test_unknown_config_key_exit_2(self, m1_path, tmp_path):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"capp": 10}))
-        assert main([
-            "stop-prob", "--model", m1_path, "--config", str(config),
-            "--n", "[1]", "--r", "[2]",
-        ]) == 2
+        for fields in ({"capp": 10}, {"k_ref": 1}):
+            config.write_text(json.dumps(fields))
+            assert main([
+                "stop-prob", "--model", m1_path, "--config", str(config),
+                "--n", "[1]", "--r", "[2]",
+            ]) == 2
 
     def test_stop_set_override(self, m1_path, tmp_path):
         stop = tmp_path / "stop.json"

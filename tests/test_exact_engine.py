@@ -66,6 +66,11 @@ class TestEnumerateStates:
         with pytest.raises(CapacityError):
             enumerate_states(3, 10, limit=100)
 
+    def test_default_limit_counts_kernel_bytes(self):
+        # 501,501 states: the dense kernel alone would need about 1.8 TiB
+        with pytest.raises(CapacityError, match="bytes"):
+            enumerate_states(2, 1000)
+
 
 class TestOneStepKernel:
     def test_m1_unit_row_is_the_law(self, m1):

@@ -5,15 +5,13 @@ from stopbp.exact_engine import absorb_direct, enumerate_states, one_step_kernel
 from stopbp.genfun import iterate_survival, yaglom
 from stopbp.model import PopulationState, StoppingSet
 from stopbp.montecarlo import (
-    STATUS_ALIVE,
-    STATUS_DIED,
-    STATUS_STOPPED,
     AliasSampler,
     estimate_absorption,
     estimate_yaglom,
-    run_stopped,
-    step,
     trajectory_keys,
+    _batch_step,
+    _samplers,
+    _simulate_stopped_batch,
     _uniforms,
 )
 
@@ -22,6 +20,14 @@ S = PopulationState
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def batch_step(model, counts, rows, seed):
+    """One generation from ``rows`` copies of ``counts``; (next states, draws used)."""
+    states = np.tile(np.asarray(counts, dtype=np.int64), (rows, 1))
+    keys = trajectory_keys(seed, np.arange(rows))
+    counters = np.zeros(rows, dtype=np.uint64)
+    return _batch_step(states, keys, counters, _samplers(model)), counters
 
 
 class TestCounterStream:
@@ -60,13 +66,14 @@ class TestAliasSampler:
 class TestStep:
     def test_zero_absorbing(self, m1):
         model, _ = m1
-        assert step(S((0,)), model, rng()) == S((0,))
+        out, draws = batch_step(model, (0,), 100_000, 0)
+        assert not out.any()
+        assert not draws.any()
 
     def test_m1_frequencies(self, m1):
         model, _ = m1
-        g = rng(5)
-        outcomes = [step(S((1,)), model, g).counts[0] for _ in range(100_000)]
-        p0 = outcomes.count(0) / len(outcomes)
+        out, _ = batch_step(model, (1,), 100_000, 5)
+        p0 = np.mean(out[:, 0] == 0)
         exact, sigma = 0.7, np.sqrt(0.7 * 0.3 / 100_000)
         assert abs(p0 - exact) <= 4 * sigma
 
@@ -74,8 +81,8 @@ class TestStep:
         # row sums of the mean matrix: from (1,1) the expected next total
         # is (0.4 + 0.3) + (0.4 + 0.0) = 1.1
         model, _ = m2
-        g = rng(9)
-        totals = np.array([step(S((1, 1)), model, g).total for _ in range(100_000)])
+        out, _ = batch_step(model, (1, 1), 100_000, 9)
+        totals = out.sum(axis=1)
         sigma = totals.std() / np.sqrt(len(totals))
         assert abs(totals.mean() - 1.1) <= 4 * sigma
 
@@ -85,41 +92,42 @@ class TestRunStopped:
         # from one particle the trajectory always resolves at step 1:
         # either dead at 0 or stopped at (2)
         model, stopping = m1
-        g = rng(3)
-        stops = 0
-        for _ in range(20_000):
-            out = run_stopped(S((1,)), stopping, model, 50, g)
-            assert out.steps == 1
-            assert out.status in (STATUS_DIED, STATUS_STOPPED)
-            if out.status == STATUS_STOPPED:
-                assert out.state == S((2,))
-                stops += 1
+        status, final, steps = _simulate_stopped_batch(
+            model, S((1,)), stopping, 50, 3, np.arange(20_000)
+        )
+        assert np.all(steps == 1)
+        assert set(np.unique(status)) <= {1, 2}  # died, stopped
+        assert np.all(final[status == 2] == [2])
+        stops = int(np.sum(status == 2))
         sigma = np.sqrt(0.3 * 0.7 / 20_000)
         assert abs(stops / 20_000 - 0.3) <= 4 * sigma
 
     def test_zero_horizon(self, m1):
         model, stopping = m1
-        out = run_stopped(S((1,)), stopping, model, 0, rng())
-        assert out.status == STATUS_ALIVE
-        assert out.state == S((1,))
-        assert out.steps == 0
+        status, final, steps = _simulate_stopped_batch(
+            model, S((1,)), stopping, 0, 0, np.arange(10)
+        )
+        assert np.all(status == 0)  # alive
+        assert np.all(final == [1])
+        assert np.all(steps == 0)
 
     def test_start_in_stopping_set_rejected(self, m1):
         model, stopping = m1
         with pytest.raises(ValueError, match="stopping set"):
-            run_stopped(S((2,)), stopping, model, 5, rng())
+            estimate_absorption(S((2,)), S((2,)), stopping, model, 5, 10, 0)
         with pytest.raises(ValueError, match="zero"):
-            run_stopped(S((0,)), stopping, model, 5, rng())
+            estimate_absorption(S((0,)), S((2,)), stopping, model, 5, 10, 0)
 
     def test_stopping_checked_before_branching(self, m2):
         # a trajectory that reports "stopped" must sit exactly on a
         # stopping state, and its step count is the first entry time
         model, stopping = m2
-        g = rng(13)
-        for _ in range(2000):
-            out = run_stopped(S((0, 2)), stopping, model, 30, g)
-            if out.status == STATUS_STOPPED:
-                assert out.state in stopping
+        status, final, _ = _simulate_stopped_batch(
+            model, S((0, 2)), stopping, 30, 13, np.arange(2000)
+        )
+        assert np.any(status == 2)
+        for row in final[status == 2]:
+            assert S(tuple(int(x) for x in row)) in stopping
 
 
 class TestEstimateAbsorption:
@@ -204,20 +212,26 @@ class TestEstimateYaglom:
 
 
 class TestExplosionGuard:
-    def test_scalar_trajectory_aborts(self, supercritical, monkeypatch):
+    def test_exploded_rows_exceed_limit(self, supercritical, monkeypatch):
         import stopbp.montecarlo as mc
 
         model, _ = supercritical
         monkeypatch.setattr(mc, "EXPLOSION_LIMIT", 5000)
         stopping = StoppingSet(frozenset({S((3,))}))  # unreachable (even totals)
-        exploded = 0
-        g = rng(8)
-        for _ in range(50):
-            out = mc.run_stopped(S((4,)), stopping, model, 60, g)
-            if out.status == "exploded":
-                exploded += 1
-                assert out.state.total > 5000
-        assert exploded > 0
+        status, final, _ = _simulate_stopped_batch(
+            model, S((4,)), stopping, 60, 8, np.arange(50)
+        )
+        exploded = status == 3
+        assert exploded.any()
+        assert np.all(final[exploded].sum(axis=1) > 5000)
+
+    def test_yaglom_rejects_explosion(self, supercritical, monkeypatch):
+        import stopbp.montecarlo as mc
+
+        model, _ = supercritical
+        monkeypatch.setattr(mc, "EXPLOSION_LIMIT", 5000)
+        with pytest.raises(ValueError, match="5000.*subcritical"):
+            mc.estimate_yaglom(1, model, 60, 200, 1)
 
     def test_batch_estimator_counts_explosions_as_misses(
         self, supercritical, monkeypatch
