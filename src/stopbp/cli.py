@@ -2,7 +2,8 @@
 
 Subcommand style; every run is deterministic given its flags and seed.
 Exit codes: 0 success, 1 mathematical check failure, 2 usage or input
-failure.  Set BP_LOG=debug|info|warning for verbosity.
+failure, including a cap too small or too large for the run
+(``CapacityError``).  Set BP_LOG=debug|info|warning for verbosity.
 """
 
 from __future__ import annotations
@@ -328,13 +329,9 @@ def cmd_probe(cfg: RunConfig) -> int:
     r = _parse_state_arg(cfg.r, "r")
     a = _parse_direction(cfg.a, model.k)
     grid = _parse_grid(cfg.n_grid)
-    try:
-        report = asymptotics.periodicity_probe(
-            model, stopping, r, a, grid, cap=cfg.cap, tol=cfg.tol
-        )
-    except exact_engine.CapacityError as exc:
-        log.error("%s", exc)
-        return EXIT_MATH
+    report = asymptotics.periodicity_probe(
+        model, stopping, r, a, grid, cap=cfg.cap, tol=cfg.tol
+    )
     _write(cfg, report.write_csv)
     log.info("theta=%.6g over %d rows", report.theta, len(report.rows))
     if not report.theta > 0.0:
@@ -611,16 +608,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _merge_config(args)
         return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
     except (ModelFormatError, ModelValidationError) as exc:
         log.error("model: %s", exc)
         return EXIT_USAGE
-    except exact_engine.CapacityError as exc:
-        log.error("%s", exc)
-        return EXIT_MATH
-    except ValueError as exc:
+    except (exact_engine.CapacityError, ValueError) as exc:  # UsageError is a ValueError
         log.error("%s", exc)
         return EXIT_USAGE
 

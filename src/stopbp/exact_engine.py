@@ -14,6 +14,10 @@ provided and cross-checked in the test suite:
                              hitting probabilities,
 * ``absorb_via_restricted`` -- partial sums of first-passage (restricted)
                              transition probabilities.
+
+Every kernel product but the matrix powers of ``compose`` runs through
+``TransitionKernel.forward`` (rows e_n K^l) or ``TransitionKernel.backward``
+(columns K^l C, stopping rows masked for first passage or pinned).
 """
 
 from __future__ import annotations
@@ -93,12 +97,6 @@ class StateSpace:
         """(n_states, k) integer array of count vectors."""
         return np.array([s.counts for s in self.states], dtype=np.int64)
 
-    def totals(self) -> np.ndarray:
-        """Total population per ordinal; -1 for the overflow sentinel."""
-        out = np.fromiter((s.total for s in self.states), dtype=np.int64,
-                          count=self.n_states)
-        return np.concatenate([out, [-1]])
-
 
 def _compositions(total: int, k: int):
     """All k-part compositions of ``total``, lexicographically ascending."""
@@ -163,6 +161,36 @@ class TransitionKernel:
 
     def row(self, state: PopulationState) -> np.ndarray:
         return self.matrix[self.space.ordinal(state)]
+
+    def forward(self, start: PopulationState, steps: int):
+        """Yield the rows e_start K^l for l = 1..steps, one vector-matrix
+        product each; every yielded row is a new array."""
+        v = np.zeros(self.space.size)
+        v[self.space.ordinal(start)] = 1.0
+        for _ in range(steps):
+            v = v @ self.matrix
+            yield v
+
+    def backward(self, cols: np.ndarray, steps: int, mask=None, pin=None):
+        """Yield K^l cols for l = 1..steps, one matrix product each.
+
+        ``mask`` (ordinals) zeroes those rows before every product but the
+        first (first passage); ``pin`` (ordinals) resets those rows to their
+        values in ``cols`` after every product (the stopped chain).
+        """
+        if mask is not None:
+            keep = np.ones((len(cols),) + (1,) * (cols.ndim - 1))
+            keep[list(mask)] = 0.0
+        if pin is not None:
+            pin = list(pin)
+            frozen = cols[pin]
+        for l in range(steps):
+            if mask is not None and l:
+                cols = keep * cols
+            cols = self.matrix @ cols
+            if pin is not None:
+                cols[pin] = frozen
+            yield cols
 
 
 def _atom_shift_tables(model: BranchingModel, space: StateSpace):
@@ -253,8 +281,8 @@ def distribution_after(
     """Distribution over ordinals after t applications of the kernel."""
     v = np.zeros(kernel.space.size)
     v[kernel.space.ordinal(start)] = 1.0
-    for _ in range(t):
-        v = v @ kernel.matrix
+    for v in kernel.forward(start, t):
+        pass
     return v
 
 
@@ -272,8 +300,7 @@ def hitting_columns(
         cols[space.ordinal(target), j] = 1.0
     out = np.empty((t_max + 1, space.size, len(targets)))
     out[0] = cols
-    for t in range(1, t_max + 1):
-        cols = kernel.matrix @ cols
+    for t, cols in enumerate(kernel.backward(cols, t_max), 1):
         out[t] = cols
     return out
 
@@ -336,12 +363,11 @@ def restricted_kernel(
     space = kernel.space
     targets = tuple(stopping.sorted_members())
     ordinals = _stopping_ordinals(space, stopping)
-    mask = np.ones(space.size)
-    mask[ordinals] = 0.0
+    cols = np.zeros((space.size, len(targets)))
+    cols[ordinals, range(len(targets))] = 1.0
     values = np.empty((t_max, space.size, len(targets)))
-    values[0] = kernel.matrix[:, ordinals]
-    for t in range(1, t_max):
-        values[t] = kernel.matrix @ (mask[:, None] * values[t - 1])
+    for t, cols in enumerate(kernel.backward(cols, t_max, mask=ordinals)):
+        values[t] = cols
     return RestrictedKernel(
         space=space,
         stopping=stopping,
@@ -534,16 +560,11 @@ def stopped_hitting_column(
     """
     space = kernel.space
     ordinals = _stopping_ordinals(space, stopping)
-    r_ord = space.ordinal(r)
     col = np.zeros(space.size)
-    col[r_ord] = 1.0
-    frozen = np.zeros(len(ordinals))
-    frozen[ordinals.index(r_ord)] = 1.0
+    col[space.ordinal(r)] = 1.0
     out = np.empty((t_max + 1, space.size))
     out[0] = col
-    for t in range(1, t_max + 1):
-        col = kernel.matrix @ col
-        col[ordinals] = frozen
+    for t, col in enumerate(kernel.backward(col, t_max, pin=ordinals), 1):
         out[t] = col
     return out
 
@@ -597,11 +618,8 @@ def absorb_via_formula(
     states = coefficients.states
     ordinals = [space.ordinal(a) for a in states]
     r_idx = states.index(r)
-    v = np.zeros(space.size)
-    v[space.ordinal(n)] = 1.0
     total = 0.0
-    for l in range(1, t + 1):
-        v = v @ kernel.matrix
+    for l, v in enumerate(kernel.forward(n, t), 1):
         # c(t, l) = first_column[..., t - l]
         total += float(np.dot(coefficients.first_column[:, r_idx, t - l], v[ordinals]))
     return total
@@ -677,29 +695,24 @@ def limiting_absorptions(
     cbound = float(coefficients.limit_bounds[:, r_idx].max())
     cmax = max(float(np.abs(climits).max()), 1e-300)
     lengths = [_series_length(summary, n.counts, cmax, tol, max_terms) for n in starts]
-    rows = [space.ordinal(n) for n in starts]
-    matrix = kernel.matrix
 
     if len(starts) == 1:
-        v = np.zeros(space.size)
-        v[rows[0]] = 1.0
         total = 0.0
-        for _ in range(lengths[0][0]):
-            v = v @ matrix
+        for v in kernel.forward(starts[0], lengths[0][0]):
             total += float(np.dot(climits, v[ordinals]))
         values, overflow = [total], [float(v[space.overflow])]
     else:
-        rows = np.array(rows)
+        rows = np.array([space.ordinal(n) for n in starts])
         terms = np.array([l for l, _ in lengths])
         col = np.zeros(space.size)
         col[ordinals] = climits
         ov = np.zeros(space.size)
         ov[space.overflow] = 1.0
+        steps = int(terms.max(initial=0))
         sums = np.zeros(len(rows))
         values, overflow = np.empty(len(rows)), np.empty(len(rows))
-        for l in range(1, int(terms.max(initial=0)) + 1):
-            col = matrix @ col
-            ov = matrix @ ov
+        pairs = zip(kernel.backward(col, steps), kernel.backward(ov, steps))
+        for l, (col, ov) in enumerate(pairs, 1):
             sums += col[rows]
             due = terms == l
             values[due] = sums[due]
@@ -787,11 +800,8 @@ def absorption_table(
     free = hitting_columns(kernel, coeffs.states, t_max)
     # overflow mass per (t, s): backward column on the sentinel
     ov = np.zeros((t_max + 1, space.size))
-    col = np.zeros(space.size)
-    col[space.overflow] = 1.0
-    ov[0] = col
-    for t in range(1, t_max + 1):
-        col = kernel.matrix @ col
+    ov[0, space.overflow] = 1.0
+    for t, col in enumerate(kernel.backward(ov[0], t_max), 1):
         ov[t] = col
     table = AbsorptionTable()
     for n in n_list:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from stopbp import exact_engine
-from stopbp.model import BranchingModel, PopulationState
+from stopbp.model import BranchingModel, PopulationState, unit_state
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -333,17 +333,11 @@ def yaglom(
     if t < 1:
         raise ValueError("t must be >= 1")
     kernel = exact_engine.one_step_kernel(model, space)
-    start = np.zeros(space.size)
-    from stopbp.model import unit_state
-
-    start[space.ordinal(unit_state(j, space.k))] = 1.0
-    v = start
     earlier = None
     lag = min(snapshot_lag, t - 1) if t > 1 else 0
-    for step in range(1, t + 1):
-        v = v @ kernel.matrix
+    for step, v in enumerate(kernel.forward(unit_state(j, space.k), t), 1):
         if lag and step == t - lag:
-            earlier = v.copy()
+            earlier = v
     p, deficit = _conditional_split(v)
     if deficit >= 0.01:
         raise exact_engine.CapacityError(

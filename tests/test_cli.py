@@ -111,6 +111,13 @@ class TestStopProb:
     def test_missing_state_args_exit_2(self, m1_path):
         assert main(["stop-prob", "--model", m1_path, "--t", "3"]) == 2
 
+    def test_oversized_cap_exit_2(self, m2_path):
+        # k=2, cap=1000 has 501,501 states: refused before any allocation
+        assert main([
+            "stop-prob", "--model", m2_path, "--n", "[0,2]", "--r", "[1,0]",
+            "--t", "5", "--cap", "1000",
+        ]) == 2
+
 
 class TestSeries:
     def test_m1_limit(self, m1_path, tmp_path):
@@ -175,11 +182,11 @@ class TestProbe:
         assert lines[0] == "n,nbar,x_frac,q,overflow_bound,self_similarity_defect"
         assert len(lines) == 1 + 6  # three rows plus partners
 
-    def test_cap_too_small_exit_1(self, m1_path):
+    def test_cap_too_small_exit_2(self, m1_path):
         assert main([
             "probe", "--model", m1_path, "--r", "[2]", "--a", "1.0",
             "--n-grid", "300:400:2", "--cap", "310",
-        ]) == 1
+        ]) == 2
 
     def test_bad_grid_exit_2(self, m1_path):
         assert main([

@@ -170,6 +170,30 @@ class TestTStepKernel:
             assert v[space.ordinal(S(counts))] == pytest.approx(p, abs=1e-13)
 
 
+@pytest.mark.parametrize("name, cap, start", [("m1", 40, (3,)), ("m2", 12, (1, 1))])
+class TestPropagation:
+    def test_forward_backward_duality(self, request, name, cap, start):
+        # (e_n K^l) c = e_n (K^l c)
+        model, _ = request.getfixturevalue(name)
+        kernel = one_step_kernel(model, enumerate_states(model.k, cap))
+        c = np.random.default_rng(3).random(kernel.space.size)
+        n = kernel.space.ordinal(S(start))
+        pairs = zip(kernel.forward(S(start), 30), kernel.backward(c, 30))
+        for row, col in pairs:
+            assert abs(float(row @ c) - col[n]) <= 1e-14
+
+    def test_pinned_backward_is_stopped_chain(self, request, name, cap, start):
+        model, stopping = request.getfixturevalue(name)
+        kernel = one_step_kernel(model, enumerate_states(model.k, cap))
+        stopped = stopped_kernel(kernel, stopping)
+        pin = [kernel.space.ordinal(s) for s in stopping]
+        powers = kernel.backward(np.eye(kernel.space.size), 30, pin=pin)
+        for l, power in enumerate(powers, 1):
+            for state in (S(start), *stopping):
+                row = distribution_after(stopped, state, l)
+                assert np.max(np.abs(power[kernel.space.ordinal(state)] - row)) <= 1e-14
+
+
 class TestRestrictedKernel:
     def test_t1_equals_one_step(self, m1):
         model, stopping = m1
