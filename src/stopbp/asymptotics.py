@@ -25,6 +25,7 @@ from stopbp import exact_engine, spectral
 from stopbp.model import BranchingModel, PopulationState, StoppingSet
 
 DEFAULT_WINDOW = (-60, 200)
+PRE_ASYMPTOTIC_FACTOR = 10
 
 
 class RankDeficiencyError(ValueError):
@@ -245,19 +246,19 @@ def periodicity_probe(
     cap: int,
     tol: float = 1e-9,
     overflow_limit: float = 0.05,
-    pre_asymptotic_factor: int = 10,
 ) -> ProbeReport:
     """Tabulate limiting absorption along starts n = round(nbar * a).
 
     Each grid total is paired with the partner total round(nbar / delta)
     (one period further in log_delta scale); the self-similarity defect is
     the gap between the two absorption probabilities.  Rows with
-    nbar <= pre_asymptotic_factor * r0 are flagged pre-asymptotic rather
+    nbar <= PRE_ASYMPTOTIC_FACTOR * r0 are flagged pre-asymptotic rather
     than rejected.  Every grid and partner start is checked against the cap
     before the kernel is built, and all of them share one backward series
-    pass (``exact_engine.limiting_absorptions``).  The first-passage horizon
-    is sized from the largest start, so each row's ``series_bound`` stays
-    below 1.1 * tol.  Fails when the accumulated overflow bound of any row
+    pass (``exact_engine.limiting_absorptions``) over a first-passage horizon
+    sized from the largest start (``exact_engine.first_passage_horizon``,
+    the rule ``stopbp series`` uses too), so each row's ``series_bound``
+    stays below tol.  Fails when the accumulated overflow bound of any row
     exceeds ``overflow_limit`` (cap too small for the requested totals).
     """
     summary = spectral.perron_triple(spectral.moments(model))
@@ -284,28 +285,14 @@ def periodicity_probe(
 
     space = exact_engine.enumerate_states(model.k, cap)
     kernel = exact_engine.one_step_kernel(model, space)
-    # first-passage horizon long enough that the coefficient tail is dead:
-    # at most tol/10 even summed over the whole series of the largest start
-    whole_series = max(
-        (exact_engine.geometric_tail_bound(summary, s.counts, 0) for s in starts),
-        default=0.0,
-    )
-    t_tail = max(
-        20,
-        int(math.ceil(math.log(tol / 10.0) / math.log(delta))) + stopping.max_total,
-    )
-    while whole_series * max(
-        exact_engine.geometric_tail_bound(summary, m.counts, t_tail) for m in stopping
-    ) > tol / 10.0:
-        t_tail += 1
-    restricted = exact_engine.restricted_kernel(kernel, stopping, t_tail)
-    coeffs = exact_engine.stop_coefficients(restricted, summary=summary)
+    horizon = exact_engine.first_passage_horizon(summary, stopping, starts, tol)
+    restricted = exact_engine.restricted_kernel(kernel, stopping, horizon)
     results = exact_engine.limiting_absorptions(
-        kernel, restricted, summary, starts, r, tol=tol, coefficients=coeffs
+        kernel, restricted, summary, starts, r, tol=tol
     )
 
     report = ProbeReport(target=r, delta=delta, cap=cap)
-    threshold = pre_asymptotic_factor * stopping.max_total
+    threshold = PRE_ASYMPTOTIC_FACTOR * stopping.max_total
     for i, (start, result) in enumerate(zip(starts, results)):
         if result.overflow_mass > overflow_limit:
             raise exact_engine.CapacityError(

@@ -31,6 +31,7 @@ from stopbp.model import (
     load_model,
     load_stopping_set,
     parse_state,
+    unit_state,
     validate_model,
 )
 
@@ -263,13 +264,11 @@ def cmd_series(cfg: RunConfig) -> int:
     if not summary.delta < 1.0:
         log.error("series needs a subcritical model; delta = %.6g", summary.delta)
         return EXIT_MATH
+    if len(n) != model.k:
+        raise UsageError(f"--n has {len(n)} entries for {model.k} types")
     space = exact_engine.enumerate_states(model.k, cfg.cap)
     kernel = exact_engine.one_step_kernel(model, space)
-    # deep first-passage horizon keeps the coefficient-truncation share of
-    # the reported bound far below tol
-    horizon = max(
-        20, int(math.ceil(math.log(cfg.tol / 100.0) / math.log(summary.delta)))
-    )
+    horizon = exact_engine.first_passage_horizon(summary, stopping, [n], cfg.tol)
     restricted = exact_engine.restricted_kernel(kernel, stopping, horizon)
     try:
         result = exact_engine.limiting_absorption(
@@ -310,8 +309,6 @@ def cmd_yaglom(cfg: RunConfig) -> int:
         residual.boundary_at_one, data.snapshot_distance,
     )
     if genfun.single_offspring_reachable(model):
-        from stopbp.model import unit_state
-
         worst = min(data.probability(unit_state(i, model.k)) for i in range(1, model.k + 1))
         if not worst > 0.0:
             log.error("conditional law fails to charge some single-particle state")
@@ -474,8 +471,6 @@ def _verify_checks(model: BranchingModel, stopping: StoppingSet, cfg: RunConfig)
 
     def check_extinction_cross_module():
         worst = 0.0
-        from stopbp.model import unit_state
-
         for i in range(1, model.k + 1):
             v = exact_engine.distribution_after(kernel, unit_state(i, model.k), 6)
             h = genfun.iterate_h(model, 6, np.zeros(model.k)).h[i - 1]

@@ -32,6 +32,7 @@ import numpy as np
 from stopbp.model import BranchingModel, PopulationState, StoppingSet
 
 KERNEL_TOL = 1e-12
+MAX_SERIES_TERMS = 100_000
 
 
 def _default_state_limit() -> int:
@@ -422,7 +423,6 @@ class StopCoefficients:
     first_column: np.ndarray  # (n_alpha, n_r, t_max), [a, r, t-1] = c(t, 1)
     limits: np.ndarray  # (n_alpha, n_r)
     limit_bounds: np.ndarray  # (n_alpha, n_r)
-    rigorous_bounds: bool
 
     def _pair(self, alpha: PopulationState, r: PopulationState) -> tuple[int, int]:
         try:
@@ -464,12 +464,28 @@ def geometric_tail_bound(summary, counts: Sequence[int], after: int) -> float:
     return weight * delta ** (after + 1) / (1.0 - delta)
 
 
-def stop_coefficients(
-    restricted: RestrictedKernel,
-    stopping: Optional[StoppingSet] = None,
-    t_max: Optional[int] = None,
-    summary=None,
-) -> StopCoefficients:
+def first_passage_horizon(
+    summary, stopping: StoppingSet, starts: Iterable[PopulationState], tol: float
+) -> int:
+    """Smallest first-passage horizon whose stop-coefficient truncation,
+    summed over the whole series of the largest start, is at most tol/10.
+
+    The limit stop coefficients of a horizon h are exact up to the
+    geometric tail bound of the stopping states beyond h; the series from n
+    multiplies that error by its whole mass, the tail bound of n beyond 0.
+    """
+    whole_series = max(
+        (geometric_tail_bound(summary, n.counts, 0) for n in starts), default=0.0
+    )
+    horizon = 1
+    while whole_series * max(
+        geometric_tail_bound(summary, m.counts, horizon) for m in stopping
+    ) > tol / 10.0:
+        horizon += 1
+    return horizon
+
+
+def stop_coefficients(restricted: RestrictedKernel, summary=None) -> StopCoefficients:
     """Tabulate stop coefficients and their limits from first-passage data.
 
     c(1,1) is the identity indicator; c(t,1) subtracts the first-passage
@@ -478,18 +494,10 @@ def stop_coefficients(
     the first-passage identity fixes the t-1 upper limit; one term fewer
     breaks the route equality already at t=2.)
     The limit subtracts the whole first-passage series; its truncation
-    bound is the geometric tail bound when a spectral ``summary`` is given
-    (rigorous for subcritical models), otherwise an empirical geometric
-    extrapolation of the tabulated values, flagged non-rigorous.
+    bound is the geometric tail bound of a spectral ``summary`` (rigorous
+    for subcritical models), and +inf without one.
     """
-    if stopping is None:
-        stopping = restricted.stopping
-    elif stopping is not restricted.stopping and set(stopping) != set(restricted.stopping):
-        raise ValueError("stopping set does not match the restricted kernel")
-    if t_max is None:
-        t_max = restricted.t_max
-    if t_max > restricted.t_max:
-        raise ValueError(f"t_max={t_max} beyond tabulated {restricted.t_max}")
+    t_max = restricted.t_max
     states = restricted.targets
     m = len(states)
     ords = restricted.target_ordinals
@@ -504,31 +512,18 @@ def stop_coefficients(
     for t in range(1, t_max + 1):
         first_column[:, :, t - 1] = ident - cum[:, :, t - 1]
 
-    series = cum[:, :, restricted.t_max]
-    limits = ident - series
-    bounds = np.empty((m, m))
-    rigorous = summary is not None
-    for a, alpha in enumerate(states):
-        if rigorous:
-            tail = geometric_tail_bound(summary, alpha.counts, restricted.t_max)
-            bounds[a, :] = tail
-        else:
-            # empirical geometric extrapolation from the last tabulated terms
-            window = ptab[a, :, -6:]
-            last = window[:, -1]
-            prev = window[:, -2] if window.shape[1] >= 2 else last
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(prev > 0, last / prev, 0.0)
-            ratio = np.clip(ratio, 0.0, 0.999)
-            bounds[a, :] = last * ratio / (1.0 - ratio)
+    limits = ident - cum[:, :, t_max]
+    bounds = np.full((m, m), np.inf)
+    if summary is not None:
+        for a, alpha in enumerate(states):
+            bounds[a, :] = geometric_tail_bound(summary, alpha.counts, t_max)
     return StopCoefficients(
-        stopping=stopping,
+        stopping=restricted.stopping,
         states=states,
         t_max=t_max,
         first_column=first_column,
         limits=limits,
         limit_bounds=bounds,
-        rigorous_bounds=rigorous,
     )
 
 
@@ -613,16 +608,35 @@ def absorb_via_formula(
         raise ValueError("t must be >= 1")
     if t > coefficients.t_max:
         raise ValueError(f"t={t} beyond coefficient table {coefficients.t_max}")
+    _check_start(kernel.space, coefficients.stopping, n, r)
+    return _formula_row(kernel, coefficients, n, r, [t])[0][0]
+
+
+def _formula_row(
+    kernel: TransitionKernel,
+    coefficients: StopCoefficients,
+    n: PopulationState,
+    r: PopulationState,
+    t_list: Sequence[int],
+) -> list[tuple[float, float]]:
+    """(formula q(n -> r, t), overflow mass of e_n K^t) for each t, from one
+    forward row e_n K^l propagated to max(t_list)."""
     space = kernel.space
-    _check_start(space, coefficients.stopping, n, r)
-    states = coefficients.states
-    ordinals = [space.ordinal(a) for a in states]
-    r_idx = states.index(r)
-    total = 0.0
-    for l, v in enumerate(kernel.forward(n, t), 1):
-        # c(t, l) = first_column[..., t - l]
-        total += float(np.dot(coefficients.first_column[:, r_idx, t - l], v[ordinals]))
-    return total
+    ordinals = [space.ordinal(a) for a in coefficients.states]
+    c = coefficients.first_column[:, coefficients.states.index(r)]
+    t_max = max(t_list)
+    hits = np.zeros((t_max + 1, len(ordinals)))  # hits[l] = P_n(Z_l = alpha)
+    overflow = np.zeros(t_max + 1)
+    for l, v in enumerate(kernel.forward(n, t_max), 1):
+        hits[l] = v[ordinals]
+        overflow[l] = v[space.overflow]
+    out = []
+    for t in t_list:
+        q = 0.0
+        for l in range(1, t + 1):
+            q += float(np.dot(c[:, t - l], hits[l]))  # c(t, l) = c(t - l + 1, 1)
+        out.append((q, float(overflow[t])))
+    return out
 
 
 @dataclass(eq=False)
@@ -635,17 +649,15 @@ class LimitingAbsorption:
     terms: int
 
 
-def _series_length(summary, counts, cmax: float, tol: float, max_terms: int):
-    """Terms l and tail bound of the series from ``counts``: the first l
-    whose geometric tail bound, scaled by ``cmax``, drops below ``tol``."""
-    l = 0
-    while True:
-        l += 1
-        if l > max_terms:
-            raise ArithmeticError(f"series did not meet tol={tol} in {max_terms} terms")
-        tail = cmax * geometric_tail_bound(summary, counts, l)
-        if tail < tol:
-            return l, tail
+def _series_length(summary, counts, cmax: float, spent: float, tol: float):
+    """Terms l and total bound of the series from ``counts``: the first l
+    whose geometric tail bound, scaled by ``cmax``, plus the bound already
+    ``spent`` on the stop coefficients, drops below ``tol``."""
+    for l in range(1, MAX_SERIES_TERMS + 1):
+        bound = cmax * geometric_tail_bound(summary, counts, l) + spent
+        if bound < tol:
+            return l, bound
+    raise ArithmeticError(f"series did not meet tol={tol} in {MAX_SERIES_TERMS} terms")
 
 
 def limiting_absorptions(
@@ -655,19 +667,20 @@ def limiting_absorptions(
     starts: Sequence[PopulationState],
     r: PopulationState,
     tol: float = 1e-10,
-    coefficients: Optional[StopCoefficients] = None,
-    max_terms: int = 100_000,
 ) -> list[LimitingAbsorption]:
     """Infinite-horizon absorption probabilities from many starts.
 
     q(n -> r) = sum_l (e_n K^l) c, where c holds the limit stop
-    coefficients at the stopping ordinals.  Each start n keeps its own
-    truncation: l_n terms, the first l whose geometric tail bound (from the
-    spectral summary's Perron root) drops below ``tol``.  Refuses
-    non-subcritical models, for which the tail bound is invalid.  Each
-    reported bound adds the stop-coefficient truncation error over the
-    whole series; the overflow mass the free chain accumulates within l_n
-    steps is reported separately.
+    coefficients at the stopping ordinals, built from ``restricted`` with
+    their geometric truncation bound.  Each start n pays first the
+    stop-coefficient truncation over its whole series; the budget left of
+    ``tol`` sizes its own series, l_n terms, the first l whose geometric
+    tail bound (from the spectral summary's Perron root) fits.  Every
+    reported ``tail_bound`` (both terms) is therefore below ``tol``.
+    Refuses non-subcritical models, for which the tail bound is invalid,
+    and a first-passage horizon too short for the coefficient term to fit
+    (``first_passage_horizon`` sizes one).  The overflow mass the free
+    chain accumulates within l_n steps is reported separately.
 
     One start runs forward: a row e_n K^l, one matvec per term, with the
     overflow read off the row.  Several starts share one backward pass over
@@ -686,15 +699,22 @@ def limiting_absorptions(
     starts = list(starts)
     for n in starts:
         _check_start(space, restricted.stopping, n, r)
-    if coefficients is None:
-        coefficients = stop_coefficients(restricted, summary=summary)
+    coefficients = stop_coefficients(restricted, summary=summary)
     states = coefficients.states
     ordinals = [space.ordinal(a) for a in states]
     r_idx = states.index(r)
     climits = coefficients.limits[:, r_idx]
     cbound = float(coefficients.limit_bounds[:, r_idx].max())
     cmax = max(float(np.abs(climits).max()), 1e-300)
-    lengths = [_series_length(summary, n.counts, cmax, tol, max_terms) for n in starts]
+    # stop-coefficient truncation over the whole series of each start
+    spent = [cbound * geometric_tail_bound(summary, n.counts, 0) for n in starts]
+    if max(spent, default=0.0) >= tol:
+        raise ValueError(
+            f"first-passage horizon {restricted.t_max} too short: stop-coefficient "
+            f"truncation {max(spent):.3g} >= tol={tol} (see first_passage_horizon)"
+        )
+    lengths = [_series_length(summary, n.counts, cmax, c, tol)
+               for n, c in zip(starts, spent)]
 
     if len(starts) == 1:
         total = 0.0
@@ -719,13 +739,9 @@ def limiting_absorptions(
             overflow[due] = ov[rows[due]]
     return [
         LimitingAbsorption(
-            value=float(value),
-            # stop-coefficient truncation over the whole series
-            tail_bound=tail + cbound * geometric_tail_bound(summary, n.counts, 0),
-            overflow_mass=float(mass),
-            terms=l,
+            value=float(value), tail_bound=bound, overflow_mass=float(mass), terms=l
         )
-        for n, (l, tail), value, mass in zip(starts, lengths, values, overflow)
+        for (l, bound), value, mass in zip(lengths, values, overflow)
     ]
 
 
@@ -736,14 +752,10 @@ def limiting_absorption(
     n: PopulationState,
     r: PopulationState,
     tol: float = 1e-10,
-    coefficients: Optional[StopCoefficients] = None,
-    max_terms: int = 100_000,
 ) -> LimitingAbsorption:
     """Infinite-horizon absorption probability from one start (forward row);
     see ``limiting_absorptions``."""
-    return limiting_absorptions(
-        kernel, restricted, summary, [n], r, tol, coefficients, max_terms
-    )[0]
+    return limiting_absorptions(kernel, restricted, summary, [n], r, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -783,13 +795,14 @@ def absorption_table(
     n_list: Iterable[PopulationState],
     r: PopulationState,
     t_list: Sequence[int],
-    methods: Sequence[str] = ("direct", "formula", "restricted"),
 ) -> AbsorptionTable:
-    """Tabulate q(n -> r, t) by the requested routes, sharing the heavy work.
+    """Tabulate q(n -> r, t) by all three routes, sharing the heavy work.
 
-    The overflow bound column carries the free-chain mass that has left the
-    capped space by time t (an upper bound on what truncation can cost any
-    of the routes).
+    The direct and restricted routes read one backward table each; the
+    formula route runs one forward row per start, whose overflow-sentinel
+    entry at t fills the overflow bound column: the free-chain mass that
+    has left the capped space by time t (an upper bound on what truncation
+    can cost any of the routes).
     """
     t_max = max(t_list)
     restricted = restricted_kernel(kernel, stopping, t_max)
@@ -797,27 +810,14 @@ def absorption_table(
     direct = stopped_hitting_column(kernel, stopping, r, t_max)
     space = kernel.space
     r_idx = restricted.column_index(r)
-    free = hitting_columns(kernel, coeffs.states, t_max)
-    # overflow mass per (t, s): backward column on the sentinel
-    ov = np.zeros((t_max + 1, space.size))
-    ov[0, space.overflow] = 1.0
-    for t, col in enumerate(kernel.backward(ov[0], t_max), 1):
-        ov[t] = col
     table = AbsorptionTable()
     for n in n_list:
         _check_start(space, stopping, n, r)
         s = space.ordinal(n)
-        for t in t_list:
-            bound = float(ov[t, s])
-            if "direct" in methods:
-                table.add(n, r, t, "direct", float(direct[t, s]), bound)
-            if "formula" in methods:
-                q = sum(
-                    float(np.dot(coeffs.first_column[:, r_idx, t - l], free[l, s, :]))
-                    for l in range(1, t + 1)
-                )
-                table.add(n, r, t, "formula", q, bound)
-            if "restricted" in methods:
-                table.add(n, r, t, "restricted",
-                          float(restricted.values[:t, s, r_idx].sum()), bound)
+        formula = _formula_row(kernel, coeffs, n, r, t_list)
+        for t, (q, bound) in zip(t_list, formula):
+            table.add(n, r, t, "direct", float(direct[t, s]), bound)
+            table.add(n, r, t, "formula", q, bound)
+            table.add(n, r, t, "restricted",
+                      float(restricted.values[:t, s, r_idx].sum()), bound)
     return table

@@ -222,7 +222,7 @@ class SpectralSummary:
 
 
 def perron_triple(
-    moment_data: MomentData | np.ndarray,
+    moment_data: MomentData,
     tol: float = 1e-15,
     max_iter: int = 200_000,
 ) -> SpectralSummary:
@@ -232,12 +232,8 @@ def perron_triple(
     iteration on A and its transpose converges.  The left vector nu is
     scaled to sum to 1, then the right vector f so that sum_i f_i nu_i = 1.
     """
-    if isinstance(moment_data, MomentData):
-        classification = classify(moment_data)
-        A = np.asarray(moment_data.A, dtype=float)
-    else:
-        A = np.asarray(moment_data, dtype=float)
-        classification = classify(MomentData(A=A, B=np.zeros((A.shape[0],) * 3)))
+    classification = classify(moment_data)
+    A = np.asarray(moment_data.A, dtype=float)
     if not classification.indecomposable:
         raise ValueError("mean matrix is decomposable; Perron triple not computed")
     if classification.period != 1:
@@ -268,7 +264,7 @@ def perron_triple(
 
 
 def moment_asymptotics(
-    moment_data: MomentData | np.ndarray, summary: SpectralSummary, t_max: int
+    moment_data: MomentData, summary: SpectralSummary, t_max: int
 ) -> np.ndarray:
     """Error curve e(t) = max_ij |A^t delta^-t - f nu|, for t = 1..t_max.
 
@@ -276,7 +272,7 @@ def moment_asymptotics(
     Perron root; the scaled power is accumulated incrementally so neither
     factor overflows.
     """
-    A = moment_data.A if isinstance(moment_data, MomentData) else np.asarray(moment_data)
+    A = moment_data.A
     target = np.outer(summary.f, summary.nu)
     scaled = A / summary.delta
     power = np.eye(A.shape[0])

@@ -198,7 +198,7 @@ class TestPeriodicityProbe:
         )
         assert max(row.nbar for row in report.rows) > 800
         for row in report.rows:
-            assert row.series_bound <= 2 * tol, row.nbar
+            assert row.series_bound <= tol, row.nbar
 
     def test_csv(self, m1_probe, tmp_path):
         path = tmp_path / "probe.csv"

@@ -152,6 +152,22 @@ class TestSeries:
             bounds.append(bound)
         assert bounds[1] < bounds[0]
 
+    def test_wrong_dimension_start_exit_2(self, m1_path):
+        assert main([
+            "series", "--model", m1_path, "--n", "[1,2]", "--r", "[2]", "--cap", "60",
+        ]) == 2
+
+    def test_large_start_bound_within_tol(self, m1_path, tmp_path):
+        # the stop-coefficient truncation grows with the start, so the
+        # first-passage horizon has to be sized from it
+        out = tmp_path / "s.csv"
+        assert main([
+            "series", "--model", m1_path, "--n", "[150]", "--r", "[2]",
+            "--cap", "600", "--tol", "1e-9", "--out", str(out),
+        ]) == 0
+        row = [l for l in out.read_text().splitlines() if "tail_bound" in l][0]
+        assert float(row.split(",")[4]) <= 1e-9
+
 
 class TestYaglom:
     def test_m1_law(self, m1_path, tmp_path):

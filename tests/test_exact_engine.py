@@ -287,7 +287,7 @@ class TestStopCoefficients:
         short = stop_coefficients(restricted_kernel(kernel, stopping, 30), summary=summary)
         long = stop_coefficients(restricted_kernel(kernel, stopping, 120), summary=summary)
         r = S((2,))
-        assert short.rigorous_bounds
+        assert np.isfinite(short.limit_bound(r, r))
         assert abs(short.limit(r, r) - long.limit(r, r)) <= short.limit_bound(r, r)
 
 
@@ -431,6 +431,16 @@ class TestLimitingAbsorption:
             assert abs(got.value - one.value) <= 1e-14
             assert abs(got.overflow_mass - one.overflow_mass) <= 1e-14
         assert (max(res.overflow_mass for res in many) > 1e-6) == overflows
+
+    def test_short_horizon_rejected(self, m1):
+        # a 5-step first-passage table leaves a stop-coefficient truncation
+        # far above tol, so no series length could certify the value
+        model, stopping = m1
+        summary = perron_triple(moments(model))
+        kernel = one_step_kernel(model, enumerate_states(1, 40))
+        restricted = restricted_kernel(kernel, stopping, 5)
+        with pytest.raises(ValueError, match="horizon 5 too short"):
+            limiting_absorption(kernel, restricted, summary, S((1,)), S((2,)), tol=1e-12)
 
     def test_many_starts_rejects_stopping_start(self, m1):
         model, stopping = m1
