@@ -26,6 +26,7 @@ from stopbp.model import BranchingModel, PopulationState, StoppingSet
 
 DEFAULT_WINDOW = (-60, 200)
 PRE_ASYMPTOTIC_FACTOR = 10
+RIDGE = 1e-12
 
 
 class RankDeficiencyError(ValueError):
@@ -253,19 +254,17 @@ def periodicity_probe(
     (one period further in log_delta scale); the self-similarity defect is
     the gap between the two absorption probabilities.  Rows with
     nbar <= PRE_ASYMPTOTIC_FACTOR * r0 are flagged pre-asymptotic rather
-    than rejected.  Every grid and partner start is checked against the cap
-    before the kernel is built, and all of them share one backward series
-    pass (``exact_engine.limiting_absorptions``) over a first-passage horizon
-    sized from the largest start (``exact_engine.first_passage_horizon``,
-    the rule ``stopbp series`` uses too), so each row's ``series_bound``
-    stays below tol.  Fails when the accumulated overflow bound of any row
-    exceeds ``overflow_limit`` (cap too small for the requested totals).
+    than rejected.  Grid and partner starts all go through
+    ``exact_engine.series_absorptions``, the pipeline ``stopbp series`` runs
+    too: they are checked against the cap before the kernel is built and
+    share one backward series pass over a first-passage horizon sized from
+    the largest start, so each row's ``series_bound`` stays below tol.
+    Fails when the accumulated overflow bound of any row exceeds
+    ``overflow_limit`` (cap too small for the requested totals).
     """
     summary = spectral.perron_triple(spectral.moments(model))
     if not summary.delta < 1.0:
         raise ValueError("probe requires a subcritical model")
-    if r not in stopping:
-        raise ValueError(f"target {r.label()} is not a stopping state")
     a = np.asarray(a, dtype=float)
     delta = summary.delta
 
@@ -276,19 +275,8 @@ def periodicity_probe(
         for m in mains
     ]
     starts = [s for pair in zip(mains, partners) for s in pair]
-    for start in starts:
-        if start.total > cap:
-            raise exact_engine.CapacityError(
-                f"start total {start.total} exceeds the cap {cap} "
-                "(partners reach round(nbar / delta)); raise the cap"
-            )
-
-    space = exact_engine.enumerate_states(model.k, cap)
-    kernel = exact_engine.one_step_kernel(model, space)
-    horizon = exact_engine.first_passage_horizon(summary, stopping, starts, tol)
-    restricted = exact_engine.restricted_kernel(kernel, stopping, horizon)
-    results = exact_engine.limiting_absorptions(
-        kernel, restricted, summary, starts, r, tol=tol
+    results = exact_engine.series_absorptions(
+        model, stopping, summary, starts, r, cap, tol=tol
     )
 
     report = ProbeReport(target=r, delta=delta, cap=cap)
@@ -325,12 +313,11 @@ class AmplitudeFit:
 def fit_cyclic_amplitudes(
     probe: ProbeReport,
     cyclic: CyclicModel,
-    ridge: float = 1e-12,
     rows: Optional[Sequence[ProbeRow]] = None,
 ) -> AmplitudeFit:
     """Least-squares amplitudes for the basis against probe values.
 
-    Solves (X'X + ridge I) c = X'q on the basis design matrix; raises when
+    Solves (X'X + RIDGE I) c = X'q on the basis design matrix; raises when
     the design matrix is rank deficient (probe x-values too clustered to
     separate the basis functions).  Stores the amplitudes on ``cyclic``.
     """
@@ -347,7 +334,7 @@ def fit_cyclic_amplitudes(
         raise RankDeficiencyError(
             f"design matrix rank {rank} < {cyclic.r0}; spread the probe in x"
         )
-    gram = X.T @ X + ridge * np.eye(cyclic.r0)
+    gram = X.T @ X + RIDGE * np.eye(cyclic.r0)
     c = np.linalg.solve(gram, X.T @ q)
     residual = float(np.sqrt(np.mean((q - X @ c) ** 2)))
     cyclic.amplitudes = c

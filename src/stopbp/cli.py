@@ -32,7 +32,6 @@ from stopbp.model import (
     load_stopping_set,
     parse_state,
     unit_state,
-    validate_model,
 )
 
 log = logging.getLogger("stopbp")
@@ -205,13 +204,9 @@ def _parse_grid(text: Optional[str]) -> list[int]:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    model, stopping = _load(cfg)
-    report = validate_model(model, stopping)
-    if not report.ok:
-        for failure in report.failures():
-            log.error("validation: %s (%s)", failure.name, failure.detail)
-        return EXIT_USAGE
-    classification = spectral.classify(spectral.moments(model))
+    model, _ = _load(cfg)
+    moment_data = spectral.moments(model)
+    classification = spectral.classify(moment_data)
     doc = {
         "indecomposable": classification.indecomposable,
         "period": classification.period,
@@ -224,8 +219,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         and classification.criticality == "subcritical"
     )
     if classification.indecomposable and classification.period == 1:
-        summary = spectral.perron_triple(spectral.moments(model))
-        doc.update(summary.report())
+        doc.update(spectral.perron_triple(moment_data).report())
     _write(cfg, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
     return EXIT_OK if ok else EXIT_MATH
 
@@ -235,14 +229,10 @@ def cmd_stop_prob(cfg: RunConfig) -> int:
     stopping = _need_stopping(stopping)
     n = _parse_state_arg(cfg.n, "n")
     r = _parse_state_arg(cfg.r, "r")
+    exact_engine.check_starts(stopping, [n], r, cfg.cap)
     space = exact_engine.enumerate_states(model.k, cfg.cap)
     kernel = exact_engine.one_step_kernel(model, space)
-    try:
-        table = exact_engine.absorption_table(
-            kernel, stopping, [n], r, t_list=[cfg.t]
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    table = exact_engine.absorption_table(kernel, stopping, [n], r, t_list=[cfg.t])
     by_method = {row.method: row.q for row in table.rows}
     dev_df = abs(by_method["direct"] - by_method["formula"])
     dev_dr = abs(by_method["direct"] - by_method["restricted"])
@@ -264,18 +254,9 @@ def cmd_series(cfg: RunConfig) -> int:
     if not summary.delta < 1.0:
         log.error("series needs a subcritical model; delta = %.6g", summary.delta)
         return EXIT_MATH
-    if len(n) != model.k:
-        raise UsageError(f"--n has {len(n)} entries for {model.k} types")
-    space = exact_engine.enumerate_states(model.k, cfg.cap)
-    kernel = exact_engine.one_step_kernel(model, space)
-    horizon = exact_engine.first_passage_horizon(summary, stopping, [n], cfg.tol)
-    restricted = exact_engine.restricted_kernel(kernel, stopping, horizon)
-    try:
-        result = exact_engine.limiting_absorption(
-            kernel, restricted, summary, n, r, tol=cfg.tol
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    [result] = exact_engine.series_absorptions(
+        model, stopping, summary, [n], r, cfg.cap, tol=cfg.tol
+    )
     table = exact_engine.AbsorptionTable()
     table.add(n, r, None, "series", result.value, result.overflow_mass)
     table.add(n, r, None, "series_tail_bound", result.tail_bound, result.overflow_mass)
@@ -348,12 +329,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
         stopping = _need_stopping(stopping)
         n = _parse_state_arg(cfg.n, "n")
         r = _parse_state_arg(cfg.r, "r")
-        try:
-            est = montecarlo.estimate_absorption(
-                n, r, stopping, model, cfg.t, cfg.reps, cfg.seed, workers=cfg.workers
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        est = montecarlo.estimate_absorption(
+            n, r, stopping, model, cfg.t, cfg.reps, cfg.seed, workers=cfg.workers
+        )
         _write(cfg, lambda fh: write_rows(fh, [("absorption", est.value, est.stderr)]))
         return EXIT_OK
     if cfg.what == "yaglom":
@@ -501,12 +479,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     failures = 0
     for label, model, stopping in pairs:
         stopping = _need_stopping(stopping)
-        report = validate_model(model, stopping)
-        if not report.ok:
-            for failure in report.failures():
-                print(f"[FAIL] {label}: {failure.name} ({failure.detail})")
-            failures += 1
-            continue
         for name, check in _verify_checks(model, stopping, cfg):
             start = time.perf_counter()
             ok, detail = check()

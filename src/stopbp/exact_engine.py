@@ -18,6 +18,12 @@ provided and cross-checked in the test suite:
 Every kernel product but the matrix powers of ``compose`` runs through
 ``TransitionKernel.forward`` (rows e_n K^l) or ``TransitionKernel.backward``
 (columns K^l C, stopping rows masked for first passage or pinned).
+
+Every start is checked once, by ``check_starts``, which needs only the
+stopping set and the cap, so a bad start fails before a kernel exists.
+``series_absorptions`` is the one dense series pipeline (gate, horizon,
+state space, kernel, first-passage table, ``limiting_absorptions``) that
+``stopbp series`` and the probe run.
 """
 
 from __future__ import annotations
@@ -464,7 +470,7 @@ def geometric_tail_bound(summary, counts: Sequence[int], after: int) -> float:
     return weight * delta ** (after + 1) / (1.0 - delta)
 
 
-def first_passage_horizon(
+def _first_passage_horizon(
     summary, stopping: StoppingSet, starts: Iterable[PopulationState], tol: float
 ) -> int:
     """Smallest first-passage horizon whose stop-coefficient truncation,
@@ -531,17 +537,37 @@ def stop_coefficients(restricted: RestrictedKernel, summary=None) -> StopCoeffic
 # absorption probabilities
 
 
-def _check_start(
-    space: StateSpace, stopping: StoppingSet, n: PopulationState, r: PopulationState
+def check_starts(
+    stopping: StoppingSet,
+    starts: Iterable[PopulationState],
+    r: PopulationState,
+    cap: int,
 ):
-    if n.is_zero:
-        raise ValueError("absorption is undefined from the zero state")
-    if n in stopping:
-        raise ValueError(f"start {n.label()} lies inside the stopping set")
-    if r not in stopping:
-        raise ValueError(f"target {r.label()} is not a stopping state")
-    if n not in space:
-        raise ValueError(f"start {n.label()} not in the capped space")
+    """Reject absorption requests before any state space is built.
+
+    Per start, in this order: the zero start, a start inside the stopping
+    set, a target outside it and a start of the wrong length raise
+    ``ValueError``; a start whose total exceeds ``cap`` raises
+    ``CapacityError``, as does a stopping set reaching beyond the cap.
+    """
+    k = stopping.dimension
+    for n in starts:
+        if n.is_zero:
+            raise ValueError("absorption is undefined from the zero state")
+        if n in stopping:
+            raise ValueError(f"start {n.label()} lies inside the stopping set")
+        if r not in stopping:
+            raise ValueError(f"target {r.label()} is not a stopping state")
+        if len(n) != k:
+            raise ValueError(f"start {n.label()} has {len(n)} entries for {k} types")
+        if n.total > cap:
+            raise CapacityError(
+                f"start {n.label()} has total {n.total} above the cap {cap}; raise the cap"
+            )
+    if stopping.max_total > cap:
+        raise CapacityError(
+            f"stopping set reaches total {stopping.max_total} above the cap {cap}"
+        )
 
 
 def stopped_hitting_column(
@@ -574,7 +600,7 @@ def absorb_direct(
     """Absorption probability at r by time t, from the stopped chain."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    _check_start(kernel.space, stopping, n, r)
+    check_starts(stopping, [n], r, kernel.space.cap)
     column = stopped_hitting_column(kernel, stopping, r, t)
     return float(column[t, kernel.space.ordinal(n)])
 
@@ -583,7 +609,7 @@ def absorb_via_restricted(
     restricted: RestrictedKernel, n: PopulationState, r: PopulationState, t: int
 ) -> float:
     """Absorption probability as the partial sum of first-passage terms."""
-    _check_start(restricted.space, restricted.stopping, n, r)
+    check_starts(restricted.stopping, [n], r, restricted.space.cap)
     if t > restricted.t_max:
         raise ValueError(f"t={t} beyond tabulated {restricted.t_max}")
     s = restricted.space.ordinal(n)
@@ -608,7 +634,7 @@ def absorb_via_formula(
         raise ValueError("t must be >= 1")
     if t > coefficients.t_max:
         raise ValueError(f"t={t} beyond coefficient table {coefficients.t_max}")
-    _check_start(kernel.space, coefficients.stopping, n, r)
+    check_starts(coefficients.stopping, [n], r, kernel.space.cap)
     return _formula_row(kernel, coefficients, n, r, [t])[0][0]
 
 
@@ -679,7 +705,7 @@ def limiting_absorptions(
     reported ``tail_bound`` (both terms) is therefore below ``tol``.
     Refuses non-subcritical models, for which the tail bound is invalid,
     and a first-passage horizon too short for the coefficient term to fit
-    (``first_passage_horizon`` sizes one).  The overflow mass the free
+    (``series_absorptions`` sizes one).  The overflow mass the free
     chain accumulates within l_n steps is reported separately.
 
     One start runs forward: a row e_n K^l, one matvec per term, with the
@@ -697,8 +723,7 @@ def limiting_absorptions(
         raise ValueError("tol must be positive")
     space = kernel.space
     starts = list(starts)
-    for n in starts:
-        _check_start(space, restricted.stopping, n, r)
+    check_starts(restricted.stopping, starts, r, space.cap)
     coefficients = stop_coefficients(restricted, summary=summary)
     states = coefficients.states
     ordinals = [space.ordinal(a) for a in states]
@@ -711,7 +736,7 @@ def limiting_absorptions(
     if max(spent, default=0.0) >= tol:
         raise ValueError(
             f"first-passage horizon {restricted.t_max} too short: stop-coefficient "
-            f"truncation {max(spent):.3g} >= tol={tol} (see first_passage_horizon)"
+            f"truncation {max(spent):.3g} >= tol={tol} (see series_absorptions)"
         )
     lengths = [_series_length(summary, n.counts, cmax, c, tol)
                for n, c in zip(starts, spent)]
@@ -756,6 +781,32 @@ def limiting_absorption(
     """Infinite-horizon absorption probability from one start (forward row);
     see ``limiting_absorptions``."""
     return limiting_absorptions(kernel, restricted, summary, [n], r, tol)[0]
+
+
+def series_absorptions(
+    model: BranchingModel,
+    stopping: StoppingSet,
+    summary,
+    starts: Sequence[PopulationState],
+    r: PopulationState,
+    cap: int,
+    tol: float = 1e-10,
+) -> list[LimitingAbsorption]:
+    """Infinite-horizon absorption probabilities from ``starts`` at ``cap``.
+
+    The dense series pipeline behind ``stopbp series`` and the probe: the
+    starts pass ``check_starts`` and the first-passage horizon is sized from
+    the largest start (``_first_passage_horizon``) before anything is
+    allocated; then the capped space, its one-step kernel and the
+    first-passage table over that horizon feed ``limiting_absorptions``.
+    """
+    starts = list(starts)
+    check_starts(stopping, starts, r, cap)
+    horizon = _first_passage_horizon(summary, stopping, starts, tol)
+    space = enumerate_states(model.k, cap)
+    kernel = one_step_kernel(model, space)
+    restricted = restricted_kernel(kernel, stopping, horizon)
+    return limiting_absorptions(kernel, restricted, summary, starts, r, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -804,15 +855,16 @@ def absorption_table(
     has left the capped space by time t (an upper bound on what truncation
     can cost any of the routes).
     """
+    n_list = list(n_list)
+    space = kernel.space
+    check_starts(stopping, n_list, r, space.cap)
     t_max = max(t_list)
     restricted = restricted_kernel(kernel, stopping, t_max)
     coeffs = stop_coefficients(restricted)
     direct = stopped_hitting_column(kernel, stopping, r, t_max)
-    space = kernel.space
     r_idx = restricted.column_index(r)
     table = AbsorptionTable()
     for n in n_list:
-        _check_start(space, stopping, n, r)
         s = space.ordinal(n)
         formula = _formula_row(kernel, coeffs, n, r, t_list)
         for t, (q, bound) in zip(t_list, formula):

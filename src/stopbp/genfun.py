@@ -18,6 +18,7 @@ from stopbp import exact_engine
 from stopbp.model import BranchingModel, PopulationState, unit_state
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+SNAPSHOT_LAG = 5
 
 
 def _law_arrays(model: BranchingModel):
@@ -122,17 +123,17 @@ def iterate_h(model: BranchingModel, t: int, s) -> GenFunEvaluation:
     return GenFunEvaluation(t=t, s=s, h=h, R=R, Q=Q)
 
 
-def make_s_grid(k: int, n_points: int, include_corners: bool = True) -> np.ndarray:
+def make_s_grid(k: int, n_points: int) -> np.ndarray:
     """Deterministic argument grid in [0, 1)^k.
 
     A Kronecker additive-recurrence lattice (irrational steps sqrt(prime)),
-    optionally prefixed with the product grid {0, 0.5, 0.9}^k.  Stable
+    prefixed, for k <= 5, with the product grid {0, 0.5, 0.9}^k.  Stable
     across runs by construction; no RNG involved.
     """
     if k > len(_PRIMES):
         raise ValueError(f"grids support up to {len(_PRIMES)} types")
     rows = []
-    if include_corners and k <= 5:
+    if k <= 5:
         mesh = np.meshgrid(*([np.array([0.0, 0.5, 0.9])] * k), indexing="ij")
         rows.append(np.stack([m.ravel() for m in mesh], axis=1))
     alpha = np.sqrt(np.array(_PRIMES[:k], dtype=float))
@@ -321,7 +322,6 @@ def yaglom(
     space: exact_engine.StateSpace,
     j: int,
     t: int,
-    snapshot_lag: int = 5,
 ) -> YaglomData:
     """Conditional population law at horizon t from one type-j particle.
 
@@ -334,7 +334,7 @@ def yaglom(
         raise ValueError("t must be >= 1")
     kernel = exact_engine.one_step_kernel(model, space)
     earlier = None
-    lag = min(snapshot_lag, t - 1) if t > 1 else 0
+    lag = min(SNAPSHOT_LAG, t - 1) if t > 1 else 0
     for step, v in enumerate(kernel.forward(unit_state(j, space.k), t), 1):
         if lag and step == t - lag:
             earlier = v

@@ -19,6 +19,9 @@ from stopbp.model import BranchingModel
 
 EDGE_TOL = 1e-12
 CRITICAL_BAND = 1e-9
+SHIFTED_TOL = 1e-14  # power iteration on A + I (root and classification)
+PERRON_TOL = 1e-15  # unshifted iterations of the Perron triple
+MAX_ITER = 200_000
 
 
 class ConvergenceError(RuntimeError):
@@ -63,42 +66,12 @@ def moments(model: BranchingModel) -> MomentData:
 # graph structure of the mean matrix
 
 
-def _adjacency(A: np.ndarray, tol: float) -> np.ndarray:
-    return A > tol
-
-
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    k = adj.shape[0]
-    seen = np.zeros(k, dtype=bool)
-    seen[start] = True
+def _bfs_levels(adj: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first distance from ``start`` along the edges of ``adj``;
+    -1 marks nodes it cannot reach."""
+    level = np.full(adj.shape[0], -1, dtype=np.int64)
+    level[start] = 0
     frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    return seen
-
-
-def is_strongly_connected(A: np.ndarray, tol: float = EDGE_TOL) -> bool:
-    adj = _adjacency(A, tol)
-    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
-
-
-def graph_period(A: np.ndarray, tol: float = EDGE_TOL) -> int:
-    """Period of a strongly connected type graph.
-
-    Breadth-first labeling from node 0; the period is the gcd of
-    level(u) + 1 - level(v) over all edges u -> v.
-    """
-    adj = _adjacency(A, tol)
-    k = adj.shape[0]
-    level = np.full(k, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
@@ -107,8 +80,24 @@ def graph_period(A: np.ndarray, tol: float = EDGE_TOL) -> int:
                     level[v] = level[u] + 1
                     nxt.append(int(v))
         frontier = nxt
+    return level
+
+
+def is_strongly_connected(A: np.ndarray) -> bool:
+    adj = A > EDGE_TOL
+    return bool((_bfs_levels(adj, 0) >= 0).all() and (_bfs_levels(adj.T, 0) >= 0).all())
+
+
+def graph_period(A: np.ndarray) -> int:
+    """Period of a strongly connected type graph.
+
+    Breadth-first labeling from node 0; the period is the gcd of
+    level(u) + 1 - level(v) over all edges u -> v.
+    """
+    adj = A > EDGE_TOL
+    level = _bfs_levels(adj, 0)
     d = 0
-    for u in range(k):
+    for u in range(adj.shape[0]):
         for v in np.nonzero(adj[u])[0]:
             d = gcd(d, int(level[u] + 1 - level[v]))
     return abs(d) if d else 0
@@ -141,15 +130,20 @@ def _power_iteration(M: np.ndarray, tol: float, max_iter: int):
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 
 
-def spectral_radius(A: np.ndarray, tol: float = 1e-14, max_iter: int = 200_000) -> float:
-    """Perron root of a nonnegative matrix.
+def _shifted_perron(A: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and right eigenvector of a nonnegative matrix.
 
     Iterates on A + I so the estimate converges for periodic and reducible
     matrices as well; the shift moves every eigenvalue by one without
     touching the eigenvectors.
     """
-    shifted, _, _ = _power_iteration(A + np.eye(A.shape[0]), tol, max_iter)
-    return max(shifted - 1.0, 0.0)
+    shifted, x, _ = _power_iteration(A + np.eye(A.shape[0]), SHIFTED_TOL, MAX_ITER)
+    return max(shifted - 1.0, 0.0), x
+
+
+def spectral_radius(A: np.ndarray) -> float:
+    """Perron root of a nonnegative matrix (see ``_shifted_perron``)."""
+    return _shifted_perron(A)[0]
 
 
 @dataclass(eq=False)
@@ -160,11 +154,7 @@ class Classification:
     criticality: str  # subcritical | critical | supercritical | boundary
 
 
-def classify(
-    moment_data: MomentData,
-    edge_tol: float = EDGE_TOL,
-    critical_band: float = CRITICAL_BAND,
-) -> Classification:
+def classify(moment_data: MomentData) -> Classification:
     """Structure flags of the mean matrix: connectivity, period, criticality.
 
     ``boundary`` labels the degenerate case where the Perron root sits in
@@ -172,17 +162,15 @@ def classify(
     (for example a deterministic one-child law).
     """
     A = np.asarray(moment_data.A, dtype=float)
-    indecomposable = is_strongly_connected(A, edge_tol)
-    period = graph_period(A, edge_tol) if indecomposable else None
-    delta = spectral_radius(A)
-    if delta < 1.0 - critical_band:
+    indecomposable = is_strongly_connected(A)
+    period = graph_period(A) if indecomposable else None
+    delta, f = _shifted_perron(A)
+    if delta < 1.0 - CRITICAL_BAND:
         criticality = "subcritical"
-    elif delta > 1.0 + critical_band:
+    elif delta > 1.0 + CRITICAL_BAND:
         criticality = "supercritical"
     else:
-        shift = np.eye(A.shape[0])
-        _, f, _ = _power_iteration(A + shift, 1e-14, 200_000)
-        _, nu, _ = _power_iteration(A.T + shift, 1e-14, 200_000)
+        _, nu = _shifted_perron(A.T)
         form = float(np.einsum("i,ijk,j,k->", f, moment_data.B, nu, nu))
         criticality = "critical" if form > 0.0 else "boundary"
     return Classification(
@@ -221,11 +209,7 @@ class SpectralSummary:
         }
 
 
-def perron_triple(
-    moment_data: MomentData,
-    tol: float = 1e-15,
-    max_iter: int = 200_000,
-) -> SpectralSummary:
+def perron_triple(moment_data: MomentData) -> SpectralSummary:
     """Perron root and its positive left/right eigenvectors.
 
     Requires an indecomposable aperiodic mean matrix, for which plain power
@@ -241,8 +225,8 @@ def perron_triple(
             f"type graph has period {classification.period}; power iteration "
             "needs an aperiodic model"
         )
-    _, f, it_f = _power_iteration(A, tol, max_iter)
-    _, nu, it_nu = _power_iteration(A.T, tol, max_iter)
+    _, f, it_f = _power_iteration(A, PERRON_TOL, MAX_ITER)
+    _, nu, it_nu = _power_iteration(A.T, PERRON_TOL, MAX_ITER)
     nu = nu / nu.sum()
     f = f / float(np.dot(f, nu))
     # generalized Rayleigh quotient: eigenvalue error is second order in

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stopbp import exact_engine
 from stopbp.builtin_models import M1_TEXT, M2_TEXT
 from stopbp.cli import main
 
@@ -116,6 +117,36 @@ class TestStopProb:
         assert main([
             "stop-prob", "--model", m2_path, "--n", "[0,2]", "--r", "[1,0]",
             "--t", "5", "--cap", "1000",
+        ]) == 2
+
+
+class TestRejectedBeforeKernel:
+    """Bad starts fail with exit 2 before the dense kernel is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel built before the start check")
+        monkeypatch.setattr(exact_engine, "one_step_kernel", refuse)
+
+    @pytest.mark.parametrize("command", ["series", "stop-prob"])
+    def test_start_beyond_cap_exit_2(self, m2_path, command):
+        assert main([
+            command, "--model", m2_path, "--n", "[0,200]", "--r", "[1,0]",
+            "--t", "5", "--cap", "150",
+        ]) == 2
+
+    @pytest.mark.parametrize("command", ["series", "stop-prob"])
+    def test_stopping_set_beyond_cap_exit_2(self, m1_path, command):
+        assert main([
+            command, "--model", m1_path, "--n", "[1]", "--r", "[2]", "--t", "3",
+            "--cap", "1",
+        ]) == 2
+
+    def test_stop_prob_wrong_dimension_exit_2(self, m1_path):
+        assert main([
+            "stop-prob", "--model", m1_path, "--n", "[1,2]", "--r", "[2]",
+            "--t", "3", "--cap", "60",
         ]) == 2
 
 

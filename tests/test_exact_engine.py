@@ -317,6 +317,12 @@ class TestAbsorptionRoutes:
         with pytest.raises(ValueError, match="zero state"):
             absorb_direct(kernel, stopping, S((0,)), S((2,)), 3)
 
+    def test_start_beyond_cap_rejected(self, m1):
+        model, stopping = m1
+        kernel = one_step_kernel(model, enumerate_states(1, 20))
+        with pytest.raises(CapacityError, match="above the cap 20"):
+            absorb_direct(kernel, stopping, S((21,)), S((2,)), 3)
+
     def test_direct_matches_bruteforce(self, m2):
         model, stopping = m2
         kernel = one_step_kernel(model, enumerate_states(2, 14))
