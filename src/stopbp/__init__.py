@@ -17,7 +17,6 @@ from stopbp.model import (
     load_model,
     parse_state,
     unit_state,
-    validate_model,
     zero_state,
 )
 from stopbp.exact_engine import (
@@ -108,7 +107,6 @@ __all__ = [
     "survival_constants",
     "t_step_kernel",
     "unit_state",
-    "validate_model",
     "yaglom",
     "yaglom_residual",
     "zero_state",

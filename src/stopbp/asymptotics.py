@@ -27,6 +27,7 @@ from stopbp.model import BranchingModel, PopulationState, StoppingSet
 DEFAULT_WINDOW = (-60, 200)
 PRE_ASYMPTOTIC_FACTOR = 10
 RIDGE = 1e-12
+OVERFLOW_LIMIT = 0.05  # largest overflow bound a probe row may carry
 
 
 class RankDeficiencyError(ValueError):
@@ -246,7 +247,6 @@ def periodicity_probe(
     nbar_grid: Sequence[int],
     cap: int,
     tol: float = 1e-9,
-    overflow_limit: float = 0.05,
 ) -> ProbeReport:
     """Tabulate limiting absorption along starts n = round(nbar * a).
 
@@ -260,13 +260,11 @@ def periodicity_probe(
     share one backward series pass over a first-passage horizon sized from
     the largest start, so each row's ``series_bound`` stays below tol.
     Fails when the accumulated overflow bound of any row exceeds
-    ``overflow_limit`` (cap too small for the requested totals).
+    ``OVERFLOW_LIMIT`` (cap too small for the requested totals).
     """
     summary = spectral.perron_triple(spectral.moments(model))
-    if not summary.delta < 1.0:
-        raise ValueError("probe requires a subcritical model")
+    delta = spectral.require_subcritical(summary, "probe")
     a = np.asarray(a, dtype=float)
-    delta = summary.delta
 
     mains = [_adjust_start(round_to_direction(int(nbar), a), stopping, a)
              for nbar in nbar_grid]
@@ -282,10 +280,10 @@ def periodicity_probe(
     report = ProbeReport(target=r, delta=delta, cap=cap)
     threshold = PRE_ASYMPTOTIC_FACTOR * stopping.max_total
     for i, (start, result) in enumerate(zip(starts, results)):
-        if result.overflow_mass > overflow_limit:
+        if result.overflow_mass > OVERFLOW_LIMIT:
             raise exact_engine.CapacityError(
                 f"overflow bound {result.overflow_mass:.3g} exceeds "
-                f"{overflow_limit} at nbar={start.total}; raise the cap"
+                f"{OVERFLOW_LIMIT} at nbar={start.total}; raise the cap"
             )
         report.rows.append(ProbeRow(
             state=start,

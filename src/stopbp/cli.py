@@ -1,8 +1,9 @@
 """Command-line front end: model ingestion, experiments, CSV reports.
 
 Subcommand style; every run is deterministic given its flags and seed.
-Exit codes: 0 success, 1 mathematical check failure, 2 usage or input
-failure, including a cap too small or too large for the run
+Exit codes: 0 success, 1 mathematical check failure, including a model
+that is not subcritical where one is needed (``NotSubcriticalError``), 2
+usage or input failure, including a cap too small or too large for the run
 (``CapacityError``).  Set BP_LOG=debug|info|warning for verbosity.
 """
 
@@ -79,7 +80,6 @@ class RunConfig:
     a: Optional[str] = None
     n_grid: Optional[str] = None
     what: str = "absorption"
-    inject_fault: bool = False
 
     def validate(self):
         for name in ("cap", "t", "reps", "workers"):
@@ -106,7 +106,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"config file has unknown fields {sorted(unknown)}")
         file_values = raw
     cfg = RunConfig(command=args.command)
-    for key in _CONFIG_KEYS | {"inject_fault"}:
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
@@ -251,9 +251,7 @@ def cmd_series(cfg: RunConfig) -> int:
     n = _parse_state_arg(cfg.n, "n")
     r = _parse_state_arg(cfg.r, "r")
     summary = spectral.perron_triple(spectral.moments(model))
-    if not summary.delta < 1.0:
-        log.error("series needs a subcritical model; delta = %.6g", summary.delta)
-        return EXIT_MATH
+    spectral.require_subcritical(summary, "series")
     [result] = exact_engine.series_absorptions(
         model, stopping, summary, [n], r, cfg.cap, tol=cfg.tol
     )
@@ -269,9 +267,7 @@ def cmd_yaglom(cfg: RunConfig) -> int:
     if not 1 <= cfg.j <= model.k:
         raise UsageError(f"--j {cfg.j} out of range 1..{model.k}")
     summary = spectral.perron_triple(spectral.moments(model))
-    if not summary.delta < 1.0:
-        log.error("conditional limit needs a subcritical model")
-        return EXIT_MATH
+    spectral.require_subcritical(summary, "conditional limit")
     space = exact_engine.enumerate_states(model.k, cfg.cap)
     data = genfun.yaglom(model, space, cfg.j, cfg.t)
     residual = genfun.yaglom_residual(
@@ -335,8 +331,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
         _write(cfg, lambda fh: write_rows(fh, [("absorption", est.value, est.stderr)]))
         return EXIT_OK
     if cfg.what == "yaglom":
-        if not 1 <= cfg.j <= model.k:
-            raise UsageError(f"--j {cfg.j} out of range 1..{model.k}")
         est = montecarlo.estimate_yaglom(
             cfg.j, model, cfg.t, cfg.reps, cfg.seed, workers=cfg.workers
         )
@@ -356,8 +350,6 @@ def _verify_checks(model: BranchingModel, stopping: StoppingSet, cfg: RunConfig)
     cap = min(cfg.cap, 30) if model.k > 1 else min(cfg.cap, 200)
     space = exact_engine.enumerate_states(model.k, cap)
     kernel = exact_engine.one_step_kernel(model, space)
-    if cfg.inject_fault:
-        kernel.matrix[1, 0] += 1e-6
     moment_data = spectral.moments(model)
     classification = spectral.classify(moment_data)
     perron_ready = classification.indecomposable and classification.period == 1
@@ -552,13 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant battery")
     _add_common(p)
-    p.add_argument(
-        "--inject-fault",
-        dest="inject_fault",
-        action="store_true",
-        default=None,
-        help="perturb a kernel row first (testing aid; the battery must fail)",
-    )
     return parser
 
 
@@ -578,6 +563,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ModelFormatError, ModelValidationError) as exc:
         log.error("model: %s", exc)
         return EXIT_USAGE
+    except spectral.NotSubcriticalError as exc:
+        log.error("%s", exc)
+        return EXIT_MATH
     except (exact_engine.CapacityError, ValueError) as exc:  # UsageError is a ValueError
         log.error("%s", exc)
         return EXIT_USAGE

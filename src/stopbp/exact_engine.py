@@ -35,7 +35,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from stopbp.model import BranchingModel, PopulationState, StoppingSet
+from stopbp.model import (
+    BranchingModel,
+    PopulationState,
+    StoppingSet,
+    check_absorption_starts,
+)
+from stopbp.spectral import require_subcritical
 
 KERNEL_TOL = 1e-12
 MAX_SERIES_TERMS = 100_000
@@ -460,11 +466,10 @@ def geometric_tail_bound(summary, counts: Sequence[int], after: int) -> float:
     population after l steps started from n is at most (n . f) delta^l /
     min(f), and summing the geometric series over l > after bounds the
     probability of being anywhere nonzero (hence in any stopping state).
-    Requires delta < 1.
+    Valid for subcritical models only; any other raises
+    ``spectral.NotSubcriticalError``.
     """
-    delta = summary.delta
-    if not delta < 1.0:
-        raise ValueError(f"geometric tail bound needs a subcritical model, delta={delta}")
+    delta = require_subcritical(summary, "geometric tail bound")
     f = np.asarray(summary.f, dtype=float)
     weight = float(np.dot(np.asarray(counts, dtype=float), f)) / float(f.min())
     return weight * delta ** (after + 1) / (1.0 - delta)
@@ -545,21 +550,13 @@ def check_starts(
 ):
     """Reject absorption requests before any state space is built.
 
-    Per start, in this order: the zero start, a start inside the stopping
-    set, a target outside it and a start of the wrong length raise
-    ``ValueError``; a start whose total exceeds ``cap`` raises
-    ``CapacityError``, as does a stopping set reaching beyond the cap.
+    The cap-free checks of ``check_absorption_starts`` run first; then a
+    start whose total exceeds ``cap`` raises ``CapacityError``, as does a
+    stopping set reaching beyond the cap.
     """
-    k = stopping.dimension
+    starts = list(starts)
+    check_absorption_starts(stopping, starts, r)
     for n in starts:
-        if n.is_zero:
-            raise ValueError("absorption is undefined from the zero state")
-        if n in stopping:
-            raise ValueError(f"start {n.label()} lies inside the stopping set")
-        if r not in stopping:
-            raise ValueError(f"target {r.label()} is not a stopping state")
-        if len(n) != k:
-            raise ValueError(f"start {n.label()} has {len(n)} entries for {k} types")
         if n.total > cap:
             raise CapacityError(
                 f"start {n.label()} has total {n.total} above the cap {cap}; raise the cap"
@@ -703,10 +700,11 @@ def limiting_absorptions(
     ``tol`` sizes its own series, l_n terms, the first l whose geometric
     tail bound (from the spectral summary's Perron root) fits.  Every
     reported ``tail_bound`` (both terms) is therefore below ``tol``.
-    Refuses non-subcritical models, for which the tail bound is invalid,
-    and a first-passage horizon too short for the coefficient term to fit
-    (``series_absorptions`` sizes one).  The overflow mass the free
-    chain accumulates within l_n steps is reported separately.
+    Refuses non-subcritical models, for which the tail bound is invalid
+    (``geometric_tail_bound`` raises), and a first-passage horizon too
+    short for the coefficient term to fit (``series_absorptions`` sizes
+    one).  The overflow mass the free chain accumulates within l_n steps is
+    reported separately.
 
     One start runs forward: a row e_n K^l, one matvec per term, with the
     overflow read off the row.  Several starts share one backward pass over
@@ -715,10 +713,6 @@ def limiting_absorptions(
     at its own l_n, so values differ from per-start forward sums only by
     rounding.
     """
-    if not summary.delta < 1.0:
-        raise ValueError(
-            f"series requires a subcritical model (delta={summary.delta:.6g} >= 1)"
-        )
     if tol <= 0:
         raise ValueError("tol must be positive")
     space = kernel.space

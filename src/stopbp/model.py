@@ -9,7 +9,7 @@ files are JSON; see ``load_model`` for the format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 PROB_TOL = 1e-12
@@ -180,72 +180,25 @@ class StoppingSet:
         return len(self.members)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+def check_absorption_starts(
+    stopping: StoppingSet, starts: Iterable[PopulationState], r: PopulationState
+):
+    """Reject absorption requests from ``starts`` to ``r`` that are undefined.
 
-
-@dataclass
-class ValidationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-    def add(self, name: str, passed: bool, detail: str = ""):
-        self.checks.append(CheckResult(name, passed, detail))
-
-
-def validate_model(
-    model: BranchingModel,
-    stopping: Optional[StoppingSet | Iterable[PopulationState]] = None,
-) -> ValidationReport:
-    """Structural invariant report for a model and optional stopping set.
-
-    Never raises; every check lands in the report.  ``stopping`` may be a
-    :class:`StoppingSet` or any iterable of states (so that sets violating
-    the stopping-set invariants can still be reported on).
+    Per start, in this order: the zero start, a start inside the stopping
+    set, a target outside it and a start of the wrong length raise
+    ``ValueError``.  Needs no state space, so every engine checks first.
     """
-    report = ValidationReport()
-    k = model.k
-    report.add("type/law counts match", len(model.laws) == k,
-               f"{k} types, {len(model.laws)} laws")
-    for i, law in enumerate(model.laws):
-        total = sum(p for _, p in law.atoms)
-        report.add(
-            f"law for type {i + 1} sums to 1",
-            abs(total - 1.0) <= PROB_TOL,
-            f"sum = {total!r}",
-        )
-        report.add(
-            f"law for type {i + 1} offspring dimension",
-            law.dimension == k,
-            f"dimension {law.dimension}, expected {k}",
-        )
-        report.add(
-            f"law for type {i + 1} probabilities positive",
-            all(p > 0 for _, p in law.atoms),
-        )
-    if stopping is not None:
-        members = list(stopping)
-        report.add("stopping set nonempty", len(members) > 0)
-        if members:
-            report.add(
-                "zero state not in stopping set",
-                not any(m.is_zero for m in members),
-                "zero state in stopping set" if any(m.is_zero for m in members) else "",
-            )
-            report.add(
-                "stopping states dimension",
-                all(len(m) == k for m in members),
-            )
-    return report
+    k = stopping.dimension
+    for n in starts:
+        if n.is_zero:
+            raise ValueError("absorption is undefined from the zero state")
+        if n in stopping:
+            raise ValueError(f"start {n.label()} lies inside the stopping set")
+        if r not in stopping:
+            raise ValueError(f"target {r.label()} is not a stopping state")
+        if len(n) != k:
+            raise ValueError(f"start {n.label()} has {len(n)} entries for {k} types")
 
 
 def _require(condition: bool, where: str, message: str):
@@ -330,21 +283,7 @@ def load_model(text: str) -> tuple[BranchingModel, Optional[StoppingSet]]:
 
     stopping = None
     if "stopping_set" in raw:
-        raw_stop = raw["stopping_set"]
-        _require(isinstance(raw_stop, list), "stopping_set", "expected a list")
-        states = []
-        for j, vec in enumerate(raw_stop):
-            where = f"stopping_set[{j}]"
-            _require(
-                isinstance(vec, list) and all(isinstance(c, int) for c in vec),
-                where, "expected a list of integers",
-            )
-            _require(len(vec) == k, where, f"length {len(vec)}, expected {k}")
-            states.append(PopulationState(tuple(vec)))
-        try:
-            stopping = StoppingSet(frozenset(states))
-        except ModelValidationError as exc:
-            raise ModelValidationError(f"stopping_set: {exc}") from None
+        stopping = _parse_stopping_set(raw["stopping_set"], k, "stopping_set")
 
     return model, stopping
 
@@ -376,13 +315,21 @@ def load_stopping_set(text: str, k: int) -> StoppingSet:
         raise ModelFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    _require(isinstance(raw, list) and raw, "stopping set", "expected a nonempty list")
+    return _parse_stopping_set(raw, k, "stopping set")
+
+
+def _parse_stopping_set(raw, k: int, where: str) -> StoppingSet:
+    """A JSON list of length-k integer vectors as a stopping set."""
+    _require(isinstance(raw, list), where, "expected a list")
     states = []
     for j, vec in enumerate(raw):
         _require(
             isinstance(vec, list) and all(isinstance(c, int) for c in vec),
-            f"entry {j}", "expected a list of integers",
+            f"{where}[{j}]", "expected a list of integers",
         )
-        _require(len(vec) == k, f"entry {j}", f"length {len(vec)}, expected {k}")
+        _require(len(vec) == k, f"{where}[{j}]", f"length {len(vec)}, expected {k}")
         states.append(PopulationState(tuple(vec)))
-    return StoppingSet(frozenset(states))
+    try:
+        return StoppingSet(frozenset(states))
+    except ModelValidationError as exc:
+        raise ModelValidationError(f"{where}: {exc}") from None

@@ -22,7 +22,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from stopbp.model import BranchingModel, PopulationState, StoppingSet, unit_state
+from stopbp.model import (
+    BranchingModel,
+    PopulationState,
+    StoppingSet,
+    check_absorption_starts,
+    unit_state,
+)
 
 EXPLOSION_LIMIT = 10**7
 
@@ -220,10 +226,7 @@ def estimate_absorption(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if r not in stopping:
-        raise ValueError(f"target {r.label()} is not a stopping state")
-    if n.is_zero or n in stopping:
-        raise ValueError("start must be outside the stopping set and nonzero")
+    check_absorption_starts(stopping, [n], r)
     target = np.asarray(r.counts, dtype=np.int64)
 
     def count_hits(indices: np.ndarray) -> int:

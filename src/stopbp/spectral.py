@@ -4,7 +4,8 @@ The first-moment matrix A has entry (i, j) equal to the expected number of
 type-j offspring of a single type-i particle.  For an indecomposable
 aperiodic model, power iteration yields the Perron root delta with positive
 right eigenvector f and positive left eigenvector nu, normalized so that
-nu sums to 1 and sum_i f_i nu_i = 1.  Subcritical means delta < 1.
+nu sums to 1 and sum_i f_i nu_i = 1.  Every computation that needs a
+subcritical model asks ``require_subcritical``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ MAX_ITER = 200_000
 
 class ConvergenceError(RuntimeError):
     """Power iteration failed to reach the requested tolerance."""
+
+
+class NotSubcriticalError(ValueError):
+    """The model's Perron root is not below 1: the request lies outside the
+    theorem, a mathematical failure rather than an input error."""
 
 
 @dataclass(eq=False)
@@ -247,6 +253,20 @@ def perron_triple(moment_data: MomentData) -> SpectralSummary:
     )
 
 
+def require_subcritical(summary: SpectralSummary, what: str) -> float:
+    """The Perron root delta of ``summary``, if it is below 1.
+
+    The one subcriticality gate: raises ``NotSubcriticalError`` naming
+    ``what`` needs the model otherwise.
+    """
+    delta = summary.delta
+    if not delta < 1.0:
+        raise NotSubcriticalError(
+            f"{what} needs a subcritical model (delta={delta:.6g} >= 1)"
+        )
+    return delta
+
+
 def moment_asymptotics(
     moment_data: MomentData, summary: SpectralSummary, t_max: int
 ) -> np.ndarray:
@@ -297,13 +317,9 @@ def survival_constant(
 
     if summary is None:
         summary = perron_triple(moments(model))
-    if not summary.delta < 1.0:
-        raise ValueError(
-            f"survival constant needs a subcritical model (delta={summary.delta:.6g})"
-        )
+    delta = require_subcritical(summary, "survival constant")
     if not 1 <= j <= model.k:
         raise ValueError(f"type index {j} out of range 1..{model.k}")
-    delta = summary.delta
     r = np.ones(model.k)
     estimates = np.empty(l_max)
     survivals = np.empty(l_max)

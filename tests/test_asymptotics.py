@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stopbp import asymptotics
 from stopbp.asymptotics import (
     AmplitudeFit,
     CyclicModel,
@@ -176,12 +177,11 @@ class TestPeriodicityProbe:
         with pytest.raises(CapacityError):
             periodicity_probe(model, stopping, S((2,)), [1.0], [150], cap=160)
 
-    def test_overflow_above_limit(self, m1):
+    def test_overflow_above_limit(self, m1, monkeypatch):
         model, stopping = m1
+        monkeypatch.setattr(asymptotics, "OVERFLOW_LIMIT", 1e-12)
         with pytest.raises(CapacityError, match="overflow bound"):
-            periodicity_probe(
-                model, stopping, S((2,)), [1.0], [20], cap=40, overflow_limit=1e-12
-            )
+            periodicity_probe(model, stopping, S((2,)), [1.0], [20], cap=40)
 
     def test_supercritical_rejected(self, supercritical):
         model, stopping = supercritical

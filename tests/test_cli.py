@@ -229,6 +229,12 @@ class TestProbe:
         assert lines[0] == "n,nbar,x_frac,q,overflow_bound,self_similarity_defect"
         assert len(lines) == 1 + 6  # three rows plus partners
 
+    def test_supercritical_exit_1(self, super_path):
+        assert main([
+            "probe", "--model", super_path, "--r", "[2]", "--n-grid", "10:20:2",
+            "--cap", "100",
+        ]) == 1
+
     def test_cap_too_small_exit_2(self, m1_path):
         assert main([
             "probe", "--model", m1_path, "--r", "[2]", "--a", "1.0",
@@ -253,6 +259,13 @@ class TestEstimate:
         row = out.read_text().splitlines()[1].split(",")
         assert row[0] == "absorption"
         assert abs(float(row[1]) - 0.3) <= 4 * float(row[2])
+
+    def test_wrong_dimension_start_exit_2(self, m1_path):
+        # checked as the exact commands check it, before any trajectory
+        assert main([
+            "estimate", "--model", m1_path, "--what", "absorption",
+            "--n", "[1,0]", "--r", "[2]", "--t", "5", "--reps", "1000",
+        ]) == 2
 
     def test_yaglom_estimate(self, m1_path, tmp_path):
         out = tmp_path / "est.csv"
@@ -294,8 +307,16 @@ class TestVerify:
         assert "m1:" in out and "m2:" in out
         assert "[" in out and "s]" in out  # per-check timing present
 
-    def test_injected_fault_fails(self, capsys):
-        assert main(["verify", "--inject-fault"]) == 1
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        build = exact_engine.one_step_kernel
+
+        def perturbed(*args, **kwargs):
+            kernel = build(*args, **kwargs)
+            kernel.matrix[1, 0] += 1e-6
+            return kernel
+
+        monkeypatch.setattr(exact_engine, "one_step_kernel", perturbed)
+        assert main(["verify"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
     def test_single_model(self, m1_path, capsys):
@@ -342,6 +363,14 @@ class TestConfigPrecedence:
             "--out", str(out),
         ]) == 0
         assert '"[4]"' in out.read_text()
+
+    def test_stop_set_wrong_dimension_exit_2(self, m1_path, tmp_path):
+        stop = tmp_path / "stop.json"
+        stop.write_text("[[4, 0]]")
+        assert main([
+            "stop-prob", "--model", m1_path, "--stop-set", str(stop),
+            "--n", "[1]", "--r", "[4]", "--t", "6", "--cap", "40",
+        ]) == 2
 
     def test_unknown_flag_exit_2(self, m1_path):
         assert main(["stop-prob", "--model", m1_path, "--frobnicate"]) == 2

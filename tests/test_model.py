@@ -12,7 +12,6 @@ from stopbp.model import (
     load_model,
     parse_state,
     unit_state,
-    validate_model,
     zero_state,
 )
 
@@ -197,27 +196,6 @@ class TestLoadModel:
         for model, _ in (m1, m2):
             for law in model.laws:
                 assert abs(sum(p for _, p in law.atoms) - 1.0) <= 1e-12
-
-
-class TestValidateModel:
-    def test_m1_passes(self, m1):
-        model, stopping = m1
-        report = validate_model(model, stopping)
-        assert report.ok
-        assert not report.failures()
-
-    def test_zero_in_stop_reported(self, m1):
-        model, _ = m1
-        report = validate_model(model, {zero_state(1)})
-        assert not report.ok
-        assert any("zero state" in c.detail for c in report.failures())
-
-    def test_m2_dimension_check(self, m2):
-        model, stopping = m2
-        report = validate_model(model, stopping)
-        assert report.ok
-        names = [c.name for c in report.checks]
-        assert any("dimension" in n for n in names)
 
 
 class TestImmutability:

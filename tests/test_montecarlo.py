@@ -117,6 +117,8 @@ class TestRunStopped:
             estimate_absorption(S((2,)), S((2,)), stopping, model, 5, 10, 0)
         with pytest.raises(ValueError, match="zero"):
             estimate_absorption(S((0,)), S((2,)), stopping, model, 5, 10, 0)
+        with pytest.raises(ValueError, match="2 entries for 1 types"):
+            estimate_absorption(S((1, 0)), S((2,)), stopping, model, 5, 10, 0)
 
     def test_stopping_checked_before_branching(self, m2):
         # a trajectory that reports "stopped" must sit exactly on a
