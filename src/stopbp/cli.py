@@ -2,8 +2,10 @@
 
 Subcommand style; every run is deterministic given its flags and seed.
 Exit codes: 0 success, 1 mathematical check failure, including a model
-that is not subcritical where one is needed (``NotSubcriticalError``), 2
-usage or input failure, including a cap too small or too large for the run
+outside the theorem where its hypotheses are needed (decomposable, periodic
+or not subcritical: ``spectral.OutsideTheoremError``) and a Perron solve
+that does not converge (``spectral.ConvergenceError``), 2 usage or input
+failure, including a cap too small or too large for the run
 (``CapacityError``).  Set BP_LOG=debug|info|warning for verbosity.
 """
 
@@ -205,22 +207,17 @@ def _parse_grid(text: Optional[str]) -> list[int]:
 
 def cmd_classify(cfg: RunConfig) -> int:
     model, _ = _load(cfg)
-    moment_data = spectral.moments(model)
-    classification = spectral.classify(moment_data)
+    summary = spectral.classify(spectral.moments(model))
     doc = {
-        "indecomposable": classification.indecomposable,
-        "period": classification.period,
-        "criticality": classification.criticality,
-        "delta": classification.delta,
+        "indecomposable": summary.indecomposable,
+        "period": summary.period,
+        "criticality": summary.criticality,
+        "delta": summary.delta,
     }
-    ok = (
-        classification.indecomposable
-        and classification.period == 1
-        and classification.criticality == "subcritical"
-    )
-    if classification.indecomposable and classification.period == 1:
-        doc.update(spectral.perron_triple(moment_data).report())
+    if summary.period == 1:  # indecomposable and aperiodic
+        doc.update(summary.report())
     _write(cfg, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
+    ok = summary.period == 1 and summary.criticality == "subcritical"
     return EXIT_OK if ok else EXIT_MATH
 
 
@@ -331,6 +328,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
         _write(cfg, lambda fh: write_rows(fh, [("absorption", est.value, est.stderr)]))
         return EXIT_OK
     if cfg.what == "yaglom":
+        summary = spectral.perron_triple(spectral.moments(model))
+        spectral.require_subcritical(summary, "conditional limit")
         est = montecarlo.estimate_yaglom(
             cfg.j, model, cfg.t, cfg.reps, cfg.seed, workers=cfg.workers
         )
@@ -350,10 +349,9 @@ def _verify_checks(model: BranchingModel, stopping: StoppingSet, cfg: RunConfig)
     cap = min(cfg.cap, 30) if model.k > 1 else min(cfg.cap, 200)
     space = exact_engine.enumerate_states(model.k, cap)
     kernel = exact_engine.one_step_kernel(model, space)
-    moment_data = spectral.moments(model)
-    classification = spectral.classify(moment_data)
-    perron_ready = classification.indecomposable and classification.period == 1
-    subcritical = perron_ready and classification.criticality == "subcritical"
+    summary = spectral.classify(spectral.moments(model))
+    perron_ready = summary.period == 1  # indecomposable and aperiodic
+    subcritical = perron_ready and summary.criticality == "subcritical"
 
     def check_rows():
         try:
@@ -383,18 +381,12 @@ def _verify_checks(model: BranchingModel, stopping: StoppingSet, cfg: RunConfig)
         return worst <= 1e-12, f"max excess {worst:.3g}"
 
     def check_three_routes():
-        restricted = exact_engine.restricted_kernel(kernel, stopping, 10)
-        coeffs = exact_engine.stop_coefficients(restricted)
         r = stopping.sorted_members()[0]
-        worst = 0.0
-        for state in space.states[1: min(space.n_states, 25)]:
-            if state in stopping:
-                continue
-            for t in (1, 4, 8):
-                d = exact_engine.absorb_direct(kernel, stopping, state, r, t)
-                f = exact_engine.absorb_via_formula(kernel, coeffs, state, r, t)
-                p = exact_engine.absorb_via_restricted(restricted, state, r, t)
-                worst = max(worst, abs(d - f), abs(d - p))
+        starts = [s for s in space.states[1: min(space.n_states, 25)] if s not in stopping]
+        table = exact_engine.absorption_table(kernel, stopping, starts, r, [1, 4, 8])
+        # one row per route (direct, formula, restricted) for each start and t
+        q = np.array([row.q for row in table.rows]).reshape(-1, 3)
+        worst = float(np.abs(q[:, 1:] - q[:, :1]).max(initial=0.0))
         return worst <= 1e-10, f"worst route gap {worst:.3g}"
 
     def check_monotone():
@@ -429,14 +421,13 @@ def _verify_checks(model: BranchingModel, stopping: StoppingSet, cfg: RunConfig)
     def check_perron():
         if not perron_ready:
             return True, "skipped: decomposable or periodic"
-        summary = spectral.perron_triple(moment_data)
         worst = max(summary.residual_f, summary.residual_nu)
         return worst <= 1e-10, f"eigen residual {worst:.3g}"
 
     def check_survival_constants():
         if not subcritical:
             return True, "skipped: not subcritical"
-        K = spectral.survival_constants(model, 50)
+        K = spectral.survival_constants(model, 50, summary)
         return bool(np.all(K > 0)), f"K = {np.array2string(K, precision=4)}"
 
     def check_extinction_cross_module():
@@ -563,7 +554,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ModelFormatError, ModelValidationError) as exc:
         log.error("model: %s", exc)
         return EXIT_USAGE
-    except spectral.NotSubcriticalError as exc:
+    except (spectral.OutsideTheoremError, spectral.ConvergenceError) as exc:
         log.error("%s", exc)
         return EXIT_MATH
     except (exact_engine.CapacityError, ValueError) as exc:  # UsageError is a ValueError

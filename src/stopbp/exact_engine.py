@@ -467,7 +467,7 @@ def geometric_tail_bound(summary, counts: Sequence[int], after: int) -> float:
     min(f), and summing the geometric series over l > after bounds the
     probability of being anywhere nonzero (hence in any stopping state).
     Valid for subcritical models only; any other raises
-    ``spectral.NotSubcriticalError``.
+    ``spectral.OutsideTheoremError``.
     """
     delta = require_subcritical(summary, "geometric tail bound")
     f = np.asarray(summary.f, dtype=float)

@@ -1,11 +1,12 @@
 """Factorial moments and Perron spectral analysis of branching models.
 
 The first-moment matrix A has entry (i, j) equal to the expected number of
-type-j offspring of a single type-i particle.  For an indecomposable
-aperiodic model, power iteration yields the Perron root delta with positive
-right eigenvector f and positive left eigenvector nu, normalized so that
-nu sums to 1 and sum_i f_i nu_i = 1.  Every computation that needs a
-subcritical model asks ``require_subcritical``.
+type-j offspring of a single type-i particle.  One shifted power
+iteration yields the Perron root delta and, for an indecomposable aperiodic
+model, its positive right eigenvector f and positive left eigenvector nu,
+normalized so that nu sums to 1 and sum_i f_i nu_i = 1.  Every computation
+that needs the theorem's hypotheses asks ``perron_triple`` (indecomposable,
+aperiodic) and ``require_subcritical``; both raise ``OutsideTheoremError``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from stopbp.model import BranchingModel
 
 EDGE_TOL = 1e-12
 CRITICAL_BAND = 1e-9
-SHIFTED_TOL = 1e-14  # power iteration on A + I (root and classification)
-PERRON_TOL = 1e-15  # unshifted iterations of the Perron triple
+PERRON_TOL = 4e-15  # residual stop test of the power iteration, about 18 ulp
 MAX_ITER = 200_000
 
 
@@ -29,9 +29,10 @@ class ConvergenceError(RuntimeError):
     """Power iteration failed to reach the requested tolerance."""
 
 
-class NotSubcriticalError(ValueError):
-    """The model's Perron root is not below 1: the request lies outside the
-    theorem, a mathematical failure rather than an input error."""
+class OutsideTheoremError(ValueError):
+    """The model is decomposable, periodic or not subcritical: the request
+    lies outside the theorem, a mathematical failure rather than an input
+    error."""
 
 
 @dataclass(eq=False)
@@ -113,94 +114,53 @@ def graph_period(A: np.ndarray) -> int:
 # power iteration
 
 
-def _power_iteration(M: np.ndarray, tol: float, max_iter: int):
-    """Dominant eigenvalue and positive eigenvector of a nonnegative matrix.
+def _power_iteration(M: np.ndarray):
+    """Dominant eigenvalue and nonnegative eigenvector of a nonnegative matrix.
 
-    Stops when successive eigenvalue estimates agree within ``tol``; keeps
-    iterating a few extra rounds afterwards to polish the vector.
+    Stops on the residual: x and its normalized image y / sum(y), y = M x,
+    differ by (y - lam x) / lam, so they agree within ``PERRON_TOL`` of the
+    largest entry only once x is an eigenvector to that precision.  A test on
+    successive eigenvalue estimates alone is blind to the part of x along
+    eigenvectors whose entries sum to zero: when all columns of M have equal
+    sums, every estimate is exact while x is still far off.
     """
-    k = M.shape[0]
-    x = np.ones(k) / k
-    lam = 0.0
-    for it in range(1, max_iter + 1):
+    x = np.ones(M.shape[0]) / M.shape[0]
+    for _ in range(MAX_ITER):
         y = M @ x
-        norm = float(y.sum())
-        if norm <= 0.0:
-            # dominant eigenvalue 0 (nilpotent mean matrix)
-            return 0.0, x, it
-        lam_new = norm / float(x.sum())
-        x = y / norm
-        if abs(lam_new - lam) < tol and it > 4:
-            return lam_new, x, it
-        lam = lam_new
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
-
-
-def _shifted_perron(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and right eigenvector of a nonnegative matrix.
-
-    Iterates on A + I so the estimate converges for periodic and reducible
-    matrices as well; the shift moves every eigenvalue by one without
-    touching the eigenvectors.
-    """
-    shifted, x, _ = _power_iteration(A + np.eye(A.shape[0]), SHIFTED_TOL, MAX_ITER)
-    return max(shifted - 1.0, 0.0), x
+        norm = y.sum()
+        x_new = y / norm
+        if (abs(x_new - x) <= PERRON_TOL * x_new.max()).all():
+            return float(norm / x.sum()), x_new
+        x = x_new
+    raise ConvergenceError(f"power iteration did not converge in {MAX_ITER} steps")
 
 
 def spectral_radius(A: np.ndarray) -> float:
-    """Perron root of a nonnegative matrix (see ``_shifted_perron``)."""
-    return _shifted_perron(A)[0]
-
-
-@dataclass(eq=False)
-class Classification:
-    indecomposable: bool
-    period: Optional[int]  # None when decomposable
-    delta: float
-    criticality: str  # subcritical | critical | supercritical | boundary
-
-
-def classify(moment_data: MomentData) -> Classification:
-    """Structure flags of the mean matrix: connectivity, period, criticality.
-
-    ``boundary`` labels the degenerate case where the Perron root sits in
-    the critical band but the second-moment form is not strictly positive
-    (for example a deterministic one-child law).
-    """
-    A = np.asarray(moment_data.A, dtype=float)
-    indecomposable = is_strongly_connected(A)
-    period = graph_period(A) if indecomposable else None
-    delta, f = _shifted_perron(A)
-    if delta < 1.0 - CRITICAL_BAND:
-        criticality = "subcritical"
-    elif delta > 1.0 + CRITICAL_BAND:
-        criticality = "supercritical"
-    else:
-        _, nu = _shifted_perron(A.T)
-        form = float(np.einsum("i,ijk,j,k->", f, moment_data.B, nu, nu))
-        criticality = "critical" if form > 0.0 else "boundary"
-    return Classification(
-        indecomposable=indecomposable, period=period, delta=delta, criticality=criticality
-    )
+    """Perron root of a nonnegative matrix, by power iteration on A + I."""
+    shifted, _ = _power_iteration(A + np.eye(A.shape[0]))
+    return max(shifted - 1.0, 0.0)
 
 
 @dataclass(eq=False)
 class SpectralSummary:
-    """Perron triple with classification flags and optional survival constants."""
+    """Structure flags, Perron root and criticality of a mean matrix.
 
-    delta: float
-    f: np.ndarray
-    nu: np.ndarray
+    The normalized Perron vectors and their residuals are set when the
+    matrix is indecomposable and aperiodic, and are None otherwise.
+    """
+
     indecomposable: bool
-    period: int
-    criticality: str
-    residual_f: float
-    residual_nu: float
-    iterations: int
+    period: Optional[int]  # None when decomposable
+    delta: float
+    criticality: str  # subcritical | critical | supercritical | boundary
+    f: Optional[np.ndarray] = None
+    nu: Optional[np.ndarray] = None
+    residual_f: Optional[float] = None
+    residual_nu: Optional[float] = None
     K: Optional[np.ndarray] = None  # per-type survival constants, 0-based
 
     def report(self) -> dict:
-        """JSON-ready summary."""
+        """JSON-ready summary of a Perron triple."""
         return {
             "delta": self.delta,
             "f": [float(x) for x in self.f],
@@ -215,53 +175,77 @@ class SpectralSummary:
         }
 
 
-def perron_triple(moment_data: MomentData) -> SpectralSummary:
-    """Perron root and its positive left/right eigenvectors.
+def classify(moment_data: MomentData) -> SpectralSummary:
+    """The one spectral analysis of a mean matrix A.
 
-    Requires an indecomposable aperiodic mean matrix, for which plain power
-    iteration on A and its transpose converges.  The left vector nu is
-    scaled to sum to 1, then the right vector f so that sum_i f_i nu_i = 1.
+    Power iteration runs on A + I for the right vector f and on A^T + I for
+    the left vector nu.  The shift moves every eigenvalue by one without
+    touching the eigenvectors, and makes an irreducible A primitive, so the
+    iteration converges for periodic matrices and for a second eigenvalue
+    close to -delta.  For an indecomposable aperiodic A, nu is scaled
+    to sum to 1, then f so that sum_i f_i nu_i = 1, and delta is the
+    generalized Rayleigh quotient nu A f / nu f, whose error is second order
+    in the vector errors.  ``boundary`` labels the degenerate case where delta
+    sits in the critical band but the second-moment form is not strictly
+    positive (for example a deterministic one-child law).
     """
-    classification = classify(moment_data)
     A = np.asarray(moment_data.A, dtype=float)
-    if not classification.indecomposable:
-        raise ValueError("mean matrix is decomposable; Perron triple not computed")
-    if classification.period != 1:
-        raise ValueError(
-            f"type graph has period {classification.period}; power iteration "
-            "needs an aperiodic model"
+    indecomposable = is_strongly_connected(A)
+    period = graph_period(A) if indecomposable else None
+    eye = np.eye(A.shape[0])
+    shifted, f = _power_iteration(A + eye)
+    _, nu = _power_iteration(A.T + eye)
+    delta = max(shifted - 1.0, 0.0)
+    perron = {}
+    if period == 1:
+        nu = nu / nu.sum()
+        f = f / float(np.dot(f, nu))
+        delta = float(nu @ A @ f) / float(np.dot(nu, f))
+        perron = dict(
+            f=f,
+            nu=nu,
+            residual_f=float(np.max(np.abs(A @ f - delta * f))),
+            residual_nu=float(np.max(np.abs(nu @ A - delta * nu))),
         )
-    _, f, it_f = _power_iteration(A, PERRON_TOL, MAX_ITER)
-    _, nu, it_nu = _power_iteration(A.T, PERRON_TOL, MAX_ITER)
-    nu = nu / nu.sum()
-    f = f / float(np.dot(f, nu))
-    # generalized Rayleigh quotient: eigenvalue error is second order in
-    # the (already converged) vector errors
-    delta = float(nu @ A @ f) / float(np.dot(nu, f))
-    residual_f = float(np.max(np.abs(A @ f - delta * f)))
-    residual_nu = float(np.max(np.abs(nu @ A - delta * nu)))
+    if delta < 1.0 - CRITICAL_BAND:
+        criticality = "subcritical"
+    elif delta > 1.0 + CRITICAL_BAND:
+        criticality = "supercritical"
+    else:
+        form = float(np.einsum("i,ijk,j,k->", f, moment_data.B, nu, nu))
+        criticality = "critical" if form > 0.0 else "boundary"
     return SpectralSummary(
-        delta=float(delta),
-        f=f,
-        nu=nu,
-        indecomposable=True,
-        period=1,
-        criticality=classification.criticality,
-        residual_f=residual_f,
-        residual_nu=residual_nu,
-        iterations=max(it_f, it_nu),
+        indecomposable=indecomposable, period=period, delta=delta,
+        criticality=criticality, **perron,
     )
+
+
+def perron_triple(moment_data: MomentData) -> SpectralSummary:
+    """``classify``, refusing a mean matrix that is decomposable or periodic.
+
+    The refusal raises ``OutsideTheoremError``, as ``require_subcritical``
+    does for a Perron root not below 1.
+    """
+    summary = classify(moment_data)
+    if not summary.indecomposable:
+        raise OutsideTheoremError("mean matrix is decomposable; Perron triple not computed")
+    if summary.period != 1:
+        raise OutsideTheoremError(
+            f"type graph has period {summary.period}; the theorem needs an "
+            "aperiodic model"
+        )
+    return summary
 
 
 def require_subcritical(summary: SpectralSummary, what: str) -> float:
     """The Perron root delta of ``summary``, if it is below 1.
 
-    The one subcriticality gate: raises ``NotSubcriticalError`` naming
+    The one subcriticality gate: raises ``OutsideTheoremError`` naming
     ``what`` needs the model otherwise.
     """
     delta = summary.delta
     if not delta < 1.0:
-        raise NotSubcriticalError(
+        raise OutsideTheoremError(
             f"{what} needs a subcritical model (delta={delta:.6g} >= 1)"
         )
     return delta

@@ -1,8 +1,9 @@
+import csv
 import json
 
 import pytest
 
-from stopbp import exact_engine
+from stopbp import exact_engine, spectral
 from stopbp.builtin_models import M1_TEXT, M2_TEXT
 from stopbp.cli import main
 
@@ -24,6 +25,46 @@ DECOMPOSABLE_TEXT = """\
   "offspring": [
     [{"counts": [0, 0], "p": 0.5}, {"counts": [1, 0], "p": 0.5}],
     [{"counts": [0, 0], "p": 0.5}, {"counts": [0, 1], "p": 0.5}]
+  ],
+  "stopping_set": [[1, 0]]
+}
+"""
+
+PERIODIC_TEXT = """\
+{
+  "version": 1,
+  "types": ["a", "b"],
+  "offspring": [
+    [{"counts": [0, 0], "p": 0.5}, {"counts": [0, 1], "p": 0.5}],
+    [{"counts": [0, 0], "p": 0.5}, {"counts": [1, 0], "p": 0.5}]
+  ],
+  "stopping_set": [[1, 0]]
+}
+"""
+
+# mean matrix [[1e-5, 0.5], [0.5, 0]]: subcritical and aperiodic, with a
+# second eigenvalue close to -delta
+NEAR_PERIODIC_TEXT = """\
+{
+  "version": 1,
+  "types": ["a", "b"],
+  "offspring": [
+    [{"counts": [0, 0], "p": 0.49999}, {"counts": [1, 0], "p": 0.00001},
+     {"counts": [0, 1], "p": 0.5}],
+    [{"counts": [0, 0], "p": 0.5}, {"counts": [1, 0], "p": 0.5}]
+  ],
+  "stopping_set": [[1, 0]]
+}
+"""
+
+# mean matrix [[0.5, 1], [0, 0.5]]: decomposable, with a defective Perron root
+DEFECTIVE_TEXT = """\
+{
+  "version": 1,
+  "types": ["a", "b"],
+  "offspring": [
+    [{"counts": [1, 1], "p": 0.5}, {"counts": [0, 1], "p": 0.5}],
+    [{"counts": [0, 1], "p": 0.5}, {"counts": [0, 0], "p": 0.5}]
   ],
   "stopping_set": [[1, 0]]
 }
@@ -70,6 +111,23 @@ class TestClassify:
     def test_supercritical_exit_1(self, super_path, tmp_path):
         assert main(["classify", "--model", super_path, "--out",
                      str(tmp_path / "o.json")]) == 1
+
+    def test_near_periodic_exit_0(self, tmp_path):
+        path = tmp_path / "near.json"
+        path.write_text(NEAR_PERIODIC_TEXT)
+        out = tmp_path / "o.json"
+        assert main(["classify", "--model", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert max(doc["residuals"].values()) <= 1e-10
+
+    def test_no_convergence_exit_1(self, tmp_path, monkeypatch, caplog):
+        # a defective Perron root defeats power iteration; the step limit
+        # is lowered only to keep the test fast
+        monkeypatch.setattr(spectral, "MAX_ITER", 2000)
+        path = tmp_path / "defective.json"
+        path.write_text(DEFECTIVE_TEXT)
+        assert main(["classify", "--model", str(path)]) == 1
+        assert "did not converge" in caplog.text
 
     def test_missing_file_exit_2(self):
         assert main(["classify", "--model", "/nonexistent/model.json"]) == 2
@@ -150,6 +208,25 @@ class TestRejectedBeforeKernel:
         ]) == 2
 
 
+class TestOutsideTheorem:
+    """Decomposable and periodic models exit 1, as a supercritical one does."""
+
+    ARGS = {
+        "series": ["--n", "[0,2]", "--r", "[1,0]", "--cap", "20"],
+        "yaglom": ["--j", "1", "--t", "10", "--cap", "20"],
+        "probe": ["--r", "[1,0]", "--n-grid", "10:20:2", "--cap", "60"],
+        "estimate": ["--what", "yaglom", "--j", "1", "--t", "10", "--reps", "100"],
+    }
+
+    @pytest.mark.parametrize("text", [DECOMPOSABLE_TEXT, PERIODIC_TEXT],
+                             ids=["decomposable", "periodic"])
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_exit_1(self, tmp_path, command, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert main([command, "--model", str(path), *self.ARGS[command]]) == 1
+
+
 class TestSeries:
     def test_m1_limit(self, m1_path, tmp_path):
         out = tmp_path / "s.csv"
@@ -187,6 +264,23 @@ class TestSeries:
         assert main([
             "series", "--model", m1_path, "--n", "[1,2]", "--r", "[2]", "--cap", "60",
         ]) == 2
+
+    def test_near_periodic_matches_direct_route(self, tmp_path):
+        path = tmp_path / "near.json"
+        path.write_text(NEAR_PERIODIC_TEXT)
+        series_out, direct_out = tmp_path / "s.csv", tmp_path / "d.csv"
+        assert main([
+            "series", "--model", str(path), "--n", "[0,2]", "--r", "[1,0]",
+            "--cap", "30", "--out", str(series_out),
+        ]) == 0
+        assert main([
+            "stop-prob", "--model", str(path), "--n", "[0,2]", "--r", "[1,0]",
+            "--cap", "30", "--t", "200", "--out", str(direct_out),
+        ]) == 0
+        q = {row[3]: float(row[4])
+             for out in (series_out, direct_out)
+             for row in csv.reader(out.read_text().splitlines()[1:])}
+        assert q["series"] == pytest.approx(q["direct"], abs=1e-9)
 
     def test_large_start_bound_within_tol(self, m1_path, tmp_path):
         # the stop-coefficient truncation grows with the start, so the
@@ -277,14 +371,21 @@ class TestEstimate:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("conditioning_frequency,")
 
-    def test_yaglom_explosion_exit_2(self, super_path, tmp_path, monkeypatch):
+    def test_yaglom_supercritical_exit_1_before_simulating(
+        self, super_path, tmp_path, monkeypatch
+    ):
+        # refused by the subcriticality gate `stopbp yaglom` uses, before
+        # any trajectory runs
         import stopbp.montecarlo as mc
 
-        monkeypatch.setattr(mc, "EXPLOSION_LIMIT", 5000)
+        def refuse(*args, **kwargs):
+            raise AssertionError("trajectories simulated before the gate")
+
+        monkeypatch.setattr(mc, "_simulate_stopped_batch", refuse)
         assert main([
             "estimate", "--model", super_path, "--what", "yaglom", "--j", "1",
             "--t", "60", "--reps", "200", "--out", str(tmp_path / "est.csv"),
-        ]) == 2
+        ]) == 1
 
     def test_worker_invariance_via_cli(self, m2_path, tmp_path):
         outs = []

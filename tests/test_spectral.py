@@ -4,6 +4,7 @@ import pytest
 from stopbp.exact_engine import distribution_after, enumerate_states, one_step_kernel
 from stopbp.model import BranchingModel, OffspringLaw, PopulationState, unit_state
 from stopbp.spectral import (
+    OutsideTheoremError,
     classify,
     first_moments,
     graph_period,
@@ -11,6 +12,7 @@ from stopbp.spectral import (
     moment_asymptotics,
     moments,
     perron_triple,
+    require_subcritical,
     second_moments,
     spectral_radius,
     survival_constant,
@@ -123,6 +125,21 @@ class TestClassify:
         c = classify(moments(model))
         assert c.criticality == "critical"
 
+    def test_same_solve_as_perron_triple(self, m2):
+        model, _ = m2
+        c = classify(moments(model))
+        assert c.delta == perron_triple(moments(model)).delta
+        assert c.residual_f == perron_triple(moments(model)).residual_f
+
+    def test_decomposable_has_no_perron_vectors(self):
+        model = BranchingModel(
+            ("a", "b"),
+            (law(((0, 0), 0.5), ((1, 0), 0.5)), law(((0, 0), 0.7), ((0, 1), 0.3))),
+        )
+        c = classify(moments(model))
+        assert c.f is None and c.nu is None and c.residual_f is None
+        assert c.delta == pytest.approx(0.5, abs=1e-12)
+
 
 class TestGraph:
     def test_strongly_connected(self):
@@ -193,6 +210,55 @@ class TestPerronTriple:
         )
         with pytest.raises(ValueError, match="period"):
             perron_triple(moments(model))
+
+    def test_outside_theorem_one_error(self, supercritical):
+        decomposable = BranchingModel(
+            ("a", "b"),
+            (law(((0, 0), 0.5), ((1, 0), 0.5)), law(((0, 0), 0.5), ((0, 1), 0.5))),
+        )
+        periodic = BranchingModel(
+            ("a", "b"), (law(((0, 1), 1.0)), law(((1, 0), 1.0)))
+        )
+        for model in (decomposable, periodic):
+            with pytest.raises(OutsideTheoremError):
+                perron_triple(moments(model))
+        model, _ = supercritical
+        with pytest.raises(OutsideTheoremError):
+            require_subcritical(perron_triple(moments(model)), "test")
+
+    def test_equal_column_sums(self):
+        # A = [[0.2, 0.1], [0.3, 0.4]] has equal column sums, so nu is uniform
+        # and every eigenvalue estimate sum(A x) / sum(x) is exact from the
+        # first step; f = (1, 3) / 2 must still come out converged
+        model = BranchingModel(
+            ("a", "b"),
+            (
+                law(((0, 0), 0.7), ((1, 0), 0.2), ((0, 1), 0.1)),
+                law(((0, 0), 0.3), ((1, 0), 0.3), ((0, 1), 0.4)),
+            ),
+        )
+        s = perron_triple(moments(model))
+        assert s.delta == pytest.approx(0.5, abs=1e-14)
+        np.testing.assert_allclose(s.nu, [0.5, 0.5], atol=1e-14)
+        np.testing.assert_allclose(s.f, [0.5, 1.5], atol=1e-13)
+        assert max(s.residual_f, s.residual_nu) <= 1e-13
+
+    def test_primitive_three_types_delta_near_10(self):
+        model = BranchingModel(
+            ("a", "b", "c"),
+            (
+                law(((6, 7, 0), 0.5), ((0, 2, 3), 0.5)),
+                law(((7, 4, 4), 0.5), ((5, 3, 1), 0.5)),
+                law(((5, 2, 8), 0.5), ((0, 0, 0), 0.5)),
+            ),
+        )
+        A = first_moments(model)
+        s = perron_triple(moments(model))
+        oracle = max(abs(np.linalg.eigvals(A)))
+        assert 9.0 < oracle < 11.0
+        assert s.delta == pytest.approx(oracle, rel=1e-13)
+        assert max(s.residual_f, s.residual_nu) <= 1e-12 * s.delta
+        assert s.criticality == "supercritical"
 
     def test_identity_mean_allowed(self):
         model = BranchingModel(("a",), (law(((1,), 1.0)),))
