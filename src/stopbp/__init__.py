@@ -25,7 +25,6 @@ from stopbp.exact_engine import (
     absorb_via_formula,
     absorb_via_restricted,
     enumerate_states,
-    limiting_absorption,
     limiting_absorptions,
     one_step_kernel,
     restricted_kernel,
@@ -88,7 +87,6 @@ __all__ = [
     "fit_cyclic_amplitudes",
     "iterate_h",
     "iterate_survival",
-    "limiting_absorption",
     "limiting_absorptions",
     "load_model",
     "make_s_grid",

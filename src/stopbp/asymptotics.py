@@ -257,8 +257,9 @@ def periodicity_probe(
     than rejected.  Grid and partner starts all go through
     ``exact_engine.series_absorptions``, the pipeline ``stopbp series`` runs
     too: they are checked against the cap before the kernel is built and
-    share one backward series pass over a first-passage horizon sized from
-    the largest start, so each row's ``series_bound`` stays below tol.
+    share one pinned backward pass of the stopped chain, which each start
+    reads at its own horizon, so each row's ``series_bound`` stays below
+    tol and its ``overflow`` is the stopped chain's overflow mass there.
     Fails when the accumulated overflow bound of any row exceeds
     ``OVERFLOW_LIMIT`` (cap too small for the requested totals).
     """

@@ -226,6 +226,8 @@ def cmd_stop_prob(cfg: RunConfig) -> int:
     stopping = _need_stopping(stopping)
     n = _parse_state_arg(cfg.n, "n")
     r = _parse_state_arg(cfg.r, "r")
+    if cfg.t < 1:
+        raise UsageError(f"--t {cfg.t}: the horizon must be at least 1 step")
     exact_engine.check_starts(stopping, [n], r, cfg.cap)
     space = exact_engine.enumerate_states(model.k, cfg.cap)
     kernel = exact_engine.one_step_kernel(model, space)

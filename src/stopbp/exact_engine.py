@@ -21,9 +21,10 @@ Every kernel product but the matrix powers of ``compose`` runs through
 
 Every start is checked once, by ``check_starts``, which needs only the
 stopping set and the cap, so a bad start fails before a kernel exists.
-``series_absorptions`` is the one dense series pipeline (gate, horizon,
-state space, kernel, first-passage table, ``limiting_absorptions``) that
-``stopbp series`` and the probe run.
+``series_absorptions`` is the one dense series pipeline (gate, state space,
+kernel, ``limiting_absorptions``) that ``stopbp series`` and the probe run;
+its infinite-horizon values come from the direct route, one pinned backward
+pass of the stopped chain.
 """
 
 from __future__ import annotations
@@ -426,7 +427,7 @@ class StopCoefficients:
 
     The table is triangular with a shift symmetry, so only the first column
     c(t, 1) is stored: c(t, l) = c(t - l + 1, 1).  ``limits`` carries the
-    large-t limits with a truncation bound per entry.
+    large-t limits c_inf, truncated at the first-passage horizon.
     """
 
     stopping: StoppingSet
@@ -434,7 +435,6 @@ class StopCoefficients:
     t_max: int
     first_column: np.ndarray  # (n_alpha, n_r, t_max), [a, r, t-1] = c(t, 1)
     limits: np.ndarray  # (n_alpha, n_r)
-    limit_bounds: np.ndarray  # (n_alpha, n_r)
 
     def _pair(self, alpha: PopulationState, r: PopulationState) -> tuple[int, int]:
         try:
@@ -454,10 +454,6 @@ class StopCoefficients:
         a, b = self._pair(alpha, r)
         return float(self.limits[a, b])
 
-    def limit_bound(self, alpha: PopulationState, r: PopulationState) -> float:
-        a, b = self._pair(alpha, r)
-        return float(self.limit_bounds[a, b])
-
 
 def geometric_tail_bound(summary, counts: Sequence[int], after: int) -> float:
     """Bound on the total free-chain mass on nonzero states beyond step ``after``.
@@ -475,28 +471,7 @@ def geometric_tail_bound(summary, counts: Sequence[int], after: int) -> float:
     return weight * delta ** (after + 1) / (1.0 - delta)
 
 
-def _first_passage_horizon(
-    summary, stopping: StoppingSet, starts: Iterable[PopulationState], tol: float
-) -> int:
-    """Smallest first-passage horizon whose stop-coefficient truncation,
-    summed over the whole series of the largest start, is at most tol/10.
-
-    The limit stop coefficients of a horizon h are exact up to the
-    geometric tail bound of the stopping states beyond h; the series from n
-    multiplies that error by its whole mass, the tail bound of n beyond 0.
-    """
-    whole_series = max(
-        (geometric_tail_bound(summary, n.counts, 0) for n in starts), default=0.0
-    )
-    horizon = 1
-    while whole_series * max(
-        geometric_tail_bound(summary, m.counts, horizon) for m in stopping
-    ) > tol / 10.0:
-        horizon += 1
-    return horizon
-
-
-def stop_coefficients(restricted: RestrictedKernel, summary=None) -> StopCoefficients:
+def stop_coefficients(restricted: RestrictedKernel) -> StopCoefficients:
     """Tabulate stop coefficients and their limits from first-passage data.
 
     c(1,1) is the identity indicator; c(t,1) subtracts the first-passage
@@ -504,9 +479,9 @@ def stop_coefficients(restricted: RestrictedKernel, summary=None) -> StopCoeffic
     c(t, l) = c(t-l+1, 1).  (Expanding the partial absorption sum through
     the first-passage identity fixes the t-1 upper limit; one term fewer
     breaks the route equality already at t=2.)
-    The limit subtracts the whole first-passage series; its truncation
-    bound is the geometric tail bound of a spectral ``summary`` (rigorous
-    for subcritical models), and +inf without one.
+    The limit subtracts the whole tabulated first-passage series; for a
+    subcritical model its truncation is at most ``geometric_tail_bound`` of
+    the stopping state beyond ``restricted.t_max``.
     """
     t_max = restricted.t_max
     states = restricted.targets
@@ -523,18 +498,12 @@ def stop_coefficients(restricted: RestrictedKernel, summary=None) -> StopCoeffic
     for t in range(1, t_max + 1):
         first_column[:, :, t - 1] = ident - cum[:, :, t - 1]
 
-    limits = ident - cum[:, :, t_max]
-    bounds = np.full((m, m), np.inf)
-    if summary is not None:
-        for a, alpha in enumerate(states):
-            bounds[a, :] = geometric_tail_bound(summary, alpha.counts, t_max)
     return StopCoefficients(
         stopping=restricted.stopping,
         states=states,
         t_max=t_max,
         first_column=first_column,
-        limits=limits,
-        limit_bounds=bounds,
+        limits=ident - cum[:, :, t_max],
     )
 
 
@@ -672,20 +641,20 @@ class LimitingAbsorption:
     terms: int
 
 
-def _series_length(summary, counts, cmax: float, spent: float, tol: float):
-    """Terms l and total bound of the series from ``counts``: the first l
-    whose geometric tail bound, scaled by ``cmax``, plus the bound already
-    ``spent`` on the stop coefficients, drops below ``tol``."""
-    for l in range(1, MAX_SERIES_TERMS + 1):
-        bound = cmax * geometric_tail_bound(summary, counts, l) + spent
+def _horizon(summary, counts, tol: float) -> tuple[int, float]:
+    """First step T, and its bound, with ``geometric_tail_bound(summary,
+    counts, T - 1) < tol``: absorption after T needs Z_T != 0, whose
+    probability that bound dominates."""
+    for t in range(1, MAX_SERIES_TERMS + 1):
+        bound = geometric_tail_bound(summary, counts, t - 1)
         if bound < tol:
-            return l, bound
+            return t, bound
     raise ArithmeticError(f"series did not meet tol={tol} in {MAX_SERIES_TERMS} terms")
 
 
 def limiting_absorptions(
     kernel: TransitionKernel,
-    restricted: RestrictedKernel,
+    stopping: StoppingSet,
     summary,
     starts: Sequence[PopulationState],
     r: PopulationState,
@@ -693,88 +662,44 @@ def limiting_absorptions(
 ) -> list[LimitingAbsorption]:
     """Infinite-horizon absorption probabilities from many starts.
 
-    q(n -> r) = sum_l (e_n K^l) c, where c holds the limit stop
-    coefficients at the stopping ordinals, built from ``restricted`` with
-    their geometric truncation bound.  Each start n pays first the
-    stop-coefficient truncation over its whole series; the budget left of
-    ``tol`` sizes its own series, l_n terms, the first l whose geometric
-    tail bound (from the spectral summary's Perron root) fits.  Every
-    reported ``tail_bound`` (both terms) is therefore below ``tol``.
-    Refuses non-subcritical models, for which the tail bound is invalid
-    (``geometric_tail_bound`` raises), and a first-passage horizon too
-    short for the coefficient term to fit (``series_absorptions`` sizes
-    one).  The overflow mass the free chain accumulates within l_n steps is
-    reported separately.
+    q(n -> r) is the stopped chain's absorption at r, read at step T_n, the
+    first T whose geometric tail bound (from the spectral summary's Perron
+    root) drops below ``tol``: absorption after T needs Z_T != 0, so that
+    bound, the reported ``tail_bound``, covers the rest.  Refuses
+    non-subcritical models, for which the bound is invalid
+    (``geometric_tail_bound`` raises).
 
-    One start runs forward: a row e_n K^l, one matvec per term, with the
-    overflow read off the row.  Several starts share one backward pass over
-    two columns, K^l c and K^l e_overflow, one matvec per column per term up
-    to the largest l_n; each start reads its partial sum and overflow mass
-    at its own l_n, so values differ from per-start forward sums only by
-    rounding.
+    One backward pass, with the stopping rows pinned, propagates two
+    columns, K^l e_r and K^l e_overflow, one matvec per column per step up
+    to the largest T_n; each start reads its value and the stopped chain's
+    overflow mass at its own T_n.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     space = kernel.space
     starts = list(starts)
-    check_starts(restricted.stopping, starts, r, space.cap)
-    coefficients = stop_coefficients(restricted, summary=summary)
-    states = coefficients.states
-    ordinals = [space.ordinal(a) for a in states]
-    r_idx = states.index(r)
-    climits = coefficients.limits[:, r_idx]
-    cbound = float(coefficients.limit_bounds[:, r_idx].max())
-    cmax = max(float(np.abs(climits).max()), 1e-300)
-    # stop-coefficient truncation over the whole series of each start
-    spent = [cbound * geometric_tail_bound(summary, n.counts, 0) for n in starts]
-    if max(spent, default=0.0) >= tol:
-        raise ValueError(
-            f"first-passage horizon {restricted.t_max} too short: stop-coefficient "
-            f"truncation {max(spent):.3g} >= tol={tol} (see series_absorptions)"
-        )
-    lengths = [_series_length(summary, n.counts, cmax, c, tol)
-               for n, c in zip(starts, spent)]
-
-    if len(starts) == 1:
-        total = 0.0
-        for v in kernel.forward(starts[0], lengths[0][0]):
-            total += float(np.dot(climits, v[ordinals]))
-        values, overflow = [total], [float(v[space.overflow])]
-    else:
-        rows = np.array([space.ordinal(n) for n in starts])
-        terms = np.array([l for l, _ in lengths])
-        col = np.zeros(space.size)
-        col[ordinals] = climits
-        ov = np.zeros(space.size)
-        ov[space.overflow] = 1.0
-        steps = int(terms.max(initial=0))
-        sums = np.zeros(len(rows))
-        values, overflow = np.empty(len(rows)), np.empty(len(rows))
-        pairs = zip(kernel.backward(col, steps), kernel.backward(ov, steps))
-        for l, (col, ov) in enumerate(pairs, 1):
-            sums += col[rows]
-            due = terms == l
-            values[due] = sums[due]
-            overflow[due] = ov[rows[due]]
+    check_starts(stopping, starts, r, space.cap)
+    pin = _stopping_ordinals(space, stopping)
+    horizons = [_horizon(summary, n.counts, tol) for n in starts]
+    rows = np.array([space.ordinal(n) for n in starts], dtype=np.int64)
+    terms = np.array([t for t, _ in horizons], dtype=np.int64)
+    hit = np.zeros(space.size)
+    hit[space.ordinal(r)] = 1.0
+    ov = np.zeros(space.size)
+    ov[space.overflow] = 1.0
+    steps = int(terms.max(initial=0))
+    values, overflow = np.empty(len(rows)), np.empty(len(rows))
+    pairs = zip(kernel.backward(hit, steps, pin=pin), kernel.backward(ov, steps, pin=pin))
+    for t, (hit, ov) in enumerate(pairs, 1):
+        due = terms == t
+        values[due] = hit[rows[due]]
+        overflow[due] = ov[rows[due]]
     return [
         LimitingAbsorption(
-            value=float(value), tail_bound=bound, overflow_mass=float(mass), terms=l
+            value=float(value), tail_bound=bound, overflow_mass=float(mass), terms=t
         )
-        for (l, bound), value, mass in zip(lengths, values, overflow)
+        for (t, bound), value, mass in zip(horizons, values, overflow)
     ]
-
-
-def limiting_absorption(
-    kernel: TransitionKernel,
-    restricted: RestrictedKernel,
-    summary,
-    n: PopulationState,
-    r: PopulationState,
-    tol: float = 1e-10,
-) -> LimitingAbsorption:
-    """Infinite-horizon absorption probability from one start (forward row);
-    see ``limiting_absorptions``."""
-    return limiting_absorptions(kernel, restricted, summary, [n], r, tol)[0]
 
 
 def series_absorptions(
@@ -789,18 +714,14 @@ def series_absorptions(
     """Infinite-horizon absorption probabilities from ``starts`` at ``cap``.
 
     The dense series pipeline behind ``stopbp series`` and the probe: the
-    starts pass ``check_starts`` and the first-passage horizon is sized from
-    the largest start (``_first_passage_horizon``) before anything is
-    allocated; then the capped space, its one-step kernel and the
-    first-passage table over that horizon feed ``limiting_absorptions``.
+    starts pass ``check_starts`` before anything is allocated; then the
+    capped space and its one-step kernel feed ``limiting_absorptions``.
     """
     starts = list(starts)
     check_starts(stopping, starts, r, cap)
-    horizon = _first_passage_horizon(summary, stopping, starts, tol)
     space = enumerate_states(model.k, cap)
     kernel = one_step_kernel(model, space)
-    restricted = restricted_kernel(kernel, stopping, horizon)
-    return limiting_absorptions(kernel, restricted, summary, starts, r, tol=tol)
+    return limiting_absorptions(kernel, stopping, summary, starts, r, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -176,16 +176,6 @@ class RatioLimitTable:
     def worst_deviation_fixed_point(self, t: int) -> float:
         return max(r.deviation_fixed_point for r in self.records if r.t == t)
 
-    def write_csv(self, fh):
-        fh.write("t,s,value,target,abs_error\n")
-        for rec in self.records:
-            s_txt = "[" + " ".join(f"{x:.6g}" for x in np.atleast_1d(rec.s)) + "]"
-            for value, target in zip(rec.ratios, self.target_nu):
-                fh.write(
-                    f'{rec.t},"{s_txt}",{value:.17g},{target:.17g},'
-                    f"{abs(value - target):.17g}\n"
-                )
-
 
 def ratio_limit(
     model: BranchingModel,
@@ -379,12 +369,6 @@ class YaglomResidualReport:
     boundary_at_one: float  # h*(1), equals 1 - deficit
     delta: float
     rows: list[tuple[np.ndarray, float, float]]  # (s, lhs, rhs)
-
-    def write_csv(self, fh, t: int):
-        fh.write("t,s,value,target,abs_error\n")
-        for s, lhs, rhs in self.rows:
-            s_txt = "[" + " ".join(f"{x:.6g}" for x in np.atleast_1d(s)) + "]"
-            fh.write(f'{t},"{s_txt}",{lhs:.17g},{rhs:.17g},{abs(lhs - rhs):.17g}\n')
 
 
 def yaglom_residual(

@@ -135,12 +135,6 @@ def _power_iteration(M: np.ndarray):
     raise ConvergenceError(f"power iteration did not converge in {MAX_ITER} steps")
 
 
-def spectral_radius(A: np.ndarray) -> float:
-    """Perron root of a nonnegative matrix, by power iteration on A + I."""
-    shifted, _ = _power_iteration(A + np.eye(A.shape[0]))
-    return max(shifted - 1.0, 0.0)
-
-
 @dataclass(eq=False)
 class SpectralSummary:
     """Structure flags, Perron root and criticality of a mean matrix.

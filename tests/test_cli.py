@@ -179,7 +179,7 @@ class TestStopProb:
 
 
 class TestRejectedBeforeKernel:
-    """Bad starts fail with exit 2 before the dense kernel is built."""
+    """Bad starts and horizons fail with exit 2 before the dense kernel is built."""
 
     @pytest.fixture(autouse=True)
     def no_kernel(self, monkeypatch):
@@ -206,6 +206,13 @@ class TestRejectedBeforeKernel:
             "stop-prob", "--model", m1_path, "--n", "[1,2]", "--r", "[2]",
             "--t", "3", "--cap", "60",
         ]) == 2
+
+    def test_stop_prob_horizon_zero_exit_2(self, m2_path, caplog):
+        assert main([
+            "stop-prob", "--model", m2_path, "--n", "[0,2]", "--r", "[1,0]",
+            "--t", "0", "--cap", "120",
+        ]) == 2
+        assert "--t 0" in caplog.text
 
 
 class TestOutsideTheorem:

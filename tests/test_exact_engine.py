@@ -12,8 +12,8 @@ from stopbp.exact_engine import (
     compose,
     distribution_after,
     enumerate_states,
+    geometric_tail_bound,
     hitting_columns,
-    limiting_absorption,
     limiting_absorptions,
     one_step_kernel,
     restricted_kernel,
@@ -23,7 +23,7 @@ from stopbp.exact_engine import (
     stopped_kernel,
     t_step_kernel,
 )
-from stopbp.model import PopulationState
+from stopbp.model import PopulationState, StoppingSet
 from stopbp.spectral import moments, perron_triple
 
 from oracles import first_passage_probability, free_distribution, stopped_distribution
@@ -281,14 +281,16 @@ class TestStopCoefficients:
         assert coeffs.limit(S((2,)), S((2,))) == pytest.approx(1.0 - series, abs=1e-10)
 
     def test_rigorous_bound_with_summary(self, m1):
+        # the limit of a 30-step table is off by at most the geometric tail
+        # of the stopping state beyond step 30
         model, stopping = m1
         summary = perron_triple(moments(model))
         kernel = one_step_kernel(model, enumerate_states(1, 60))
-        short = stop_coefficients(restricted_kernel(kernel, stopping, 30), summary=summary)
-        long = stop_coefficients(restricted_kernel(kernel, stopping, 120), summary=summary)
+        short = stop_coefficients(restricted_kernel(kernel, stopping, 30))
+        long = stop_coefficients(restricted_kernel(kernel, stopping, 120))
         r = S((2,))
-        assert np.isfinite(short.limit_bound(r, r))
-        assert abs(short.limit(r, r) - long.limit(r, r)) <= short.limit_bound(r, r)
+        bound = geometric_tail_bound(summary, r.counts, 30)
+        assert abs(short.limit(r, r) - long.limit(r, r)) <= bound
 
 
 class TestAbsorptionRoutes:
@@ -390,9 +392,8 @@ class TestLimitingAbsorption:
         model, stopping = m1
         summary = perron_triple(moments(model))
         kernel = one_step_kernel(model, enumerate_states(1, 40))
-        restricted = restricted_kernel(kernel, stopping, 80)
-        result = limiting_absorption(
-            kernel, restricted, summary, S((1,)), S((2,)), tol=1e-10
+        [result] = limiting_absorptions(
+            kernel, stopping, summary, [S((1,))], S((2,)), tol=1e-10
         )
         assert result.value == pytest.approx(0.3, abs=max(result.tail_bound, 1e-10))
         assert result.tail_bound < 1e-9
@@ -401,9 +402,8 @@ class TestLimitingAbsorption:
         model, stopping = m2
         summary = perron_triple(moments(model))
         kernel = one_step_kernel(model, enumerate_states(2, 24))
-        restricted = restricted_kernel(kernel, stopping, 150)
         n, r = S((0, 2)), S((1, 0))
-        result = limiting_absorption(kernel, restricted, summary, n, r, tol=1e-11)
+        [result] = limiting_absorptions(kernel, stopping, summary, [n], r, tol=1e-11)
         oracle = absorb_direct(kernel, stopping, n, r, 200)
         assert result.value == pytest.approx(oracle, abs=max(1e-10, result.tail_bound))
 
@@ -411,9 +411,8 @@ class TestLimitingAbsorption:
         model, stopping = supercritical
         summary = perron_triple(moments(model))
         kernel = one_step_kernel(model, enumerate_states(1, 20))
-        restricted = restricted_kernel(kernel, stopping, 10)
         with pytest.raises(ValueError, match="subcritical"):
-            limiting_absorption(kernel, restricted, summary, S((1,)), S((2,)))
+            limiting_absorptions(kernel, stopping, summary, [S((1,))], S((2,)))
 
     @pytest.mark.parametrize("name, cap, starts, overflows", [
         ("m1", 200, [(1,), (7,), (40,), (150,)], False),
@@ -421,41 +420,62 @@ class TestLimitingAbsorption:
         ("m2", 24, [(0, 2), (3, 1), (5, 5), (10, 0)], False),
     ])
     def test_many_starts_match_single_start(self, request, name, cap, starts, overflows):
-        # one backward pass for all starts against one forward row per start
+        # one pass for all starts against one pass per start
         model, stopping = request.getfixturevalue(name)
         summary = perron_triple(moments(model))
         kernel = one_step_kernel(model, enumerate_states(model.k, cap))
-        restricted = restricted_kernel(kernel, stopping, 60)
         r = stopping.sorted_members()[0]
         starts = [S(counts) for counts in starts]
-        many = limiting_absorptions(kernel, restricted, summary, starts, r, tol=1e-10)
+        many = limiting_absorptions(kernel, stopping, summary, starts, r, tol=1e-10)
         assert len(many) == len(starts)
         for n, got in zip(starts, many):
-            one = limiting_absorption(kernel, restricted, summary, n, r, tol=1e-10)
+            [one] = limiting_absorptions(kernel, stopping, summary, [n], r, tol=1e-10)
             assert got.terms == one.terms
             assert got.tail_bound == one.tail_bound
             assert abs(got.value - one.value) <= 1e-14
             assert abs(got.overflow_mass - one.overflow_mass) <= 1e-14
         assert (max(res.overflow_mass for res in many) > 1e-6) == overflows
 
-    def test_short_horizon_rejected(self, m1):
-        # a 5-step first-passage table leaves a stop-coefficient truncation
-        # far above tol, so no series length could certify the value
-        model, stopping = m1
+    @pytest.mark.parametrize("name, cap, start, members", [
+        ("m1", 60, (3,), None),
+        ("m2", 24, (0, 2), None),
+        ("m2", 24, (1, 1), [(1, 0), (0, 2)]),
+    ])
+    def test_matches_stop_coefficient_series(self, request, name, cap, start, members):
+        # the paper's series form, q(n -> r) = sum_l (e_n K^l) c_inf with the
+        # limit stop coefficients c_inf, agrees with the stopped-chain pass
+        # within the bounds of both
+        model, stopping = request.getfixturevalue(name)
+        if members is not None:
+            stopping = StoppingSet(frozenset(S(m) for m in members))
         summary = perron_triple(moments(model))
-        kernel = one_step_kernel(model, enumerate_states(1, 40))
-        restricted = restricted_kernel(kernel, stopping, 5)
-        with pytest.raises(ValueError, match="horizon 5 too short"):
-            limiting_absorption(kernel, restricted, summary, S((1,)), S((2,)), tol=1e-12)
+        kernel = one_step_kernel(model, enumerate_states(model.k, cap))
+        n, horizon, terms = S(start), 60, 80
+        coeffs = stop_coefficients(restricted_kernel(kernel, stopping, horizon))
+        ordinals = [kernel.space.ordinal(a) for a in coeffs.states]
+        # coefficient truncation over the whole series, then the series tail
+        coeff_bound = geometric_tail_bound(summary, n.counts, 0) * max(
+            geometric_tail_bound(summary, a.counts, horizon) for a in coeffs.states
+        )
+        for j, r in enumerate(coeffs.states):
+            c = coeffs.limits[:, j]
+            series = sum(float(v[ordinals] @ c) for v in kernel.forward(n, terms))
+            series_bound = float(np.abs(c).max()) * geometric_tail_bound(
+                summary, n.counts, terms
+            )
+            [direct] = limiting_absorptions(kernel, stopping, summary, [n], r, tol=1e-10)
+            assert series > 0.0
+            assert abs(series - direct.value) <= (
+                direct.tail_bound + coeff_bound + series_bound
+            ), r.label()
 
     def test_many_starts_rejects_stopping_start(self, m1):
         model, stopping = m1
         summary = perron_triple(moments(model))
         kernel = one_step_kernel(model, enumerate_states(1, 20))
-        restricted = restricted_kernel(kernel, stopping, 20)
         with pytest.raises(ValueError, match="inside the stopping set"):
             limiting_absorptions(
-                kernel, restricted, summary, [S((1,)), S((2,))], S((2,))
+                kernel, stopping, summary, [S((1,)), S((2,))], S((2,))
             )
 
 

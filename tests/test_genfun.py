@@ -202,16 +202,6 @@ class TestRatioLimit:
         with pytest.raises(ValueError, match="reference type"):
             ratio_limit(model, m2_summary, 3, np.array([[0.0, 0.0]]), 5)
 
-    def test_csv_export(self, m2, m2_summary, tmp_path):
-        model, _ = m2
-        table = ratio_limit(model, m2_summary, 1, np.array([[0.0, 0.0]]), 3)
-        path = tmp_path / "ratio.csv"
-        with open(path, "w") as fh:
-            table.write_csv(fh)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,s,value,target,abs_error"
-        assert len(lines) == 1 + 3 * 2
-
 
 class TestMeanDominance:
     def test_m1_at_zero(self, m1):
@@ -358,19 +348,6 @@ class TestYaglomResidual:
         r40 = yaglom_residual(model, yaglom(model, space, 1, 25), m1_summary, grid)
         r60 = yaglom_residual(model, yaglom(model, space, 1, 45), m1_summary, grid)
         assert r60.max_residual < r40.max_residual
-
-    def test_residual_csv(self, m1, m1_summary, tmp_path):
-        model, _ = m1
-        space = enumerate_states(1, 60)
-        data = yaglom(model, space, 1, 20)
-        rep = yaglom_residual(model, data, m1_summary, make_s_grid(1, 5))
-        path = tmp_path / "residual.csv"
-        with open(path, "w") as fh:
-            rep.write_csv(fh, t=data.t)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,s,value,target,abs_error"
-        assert len(lines) == 1 + len(rep.rows)
-        assert all(line.startswith("20,") for line in lines[1:])
 
     def test_h_star_is_pgf_of_p(self, m1):
         model, _ = m1

@@ -4,6 +4,7 @@ import pytest
 from stopbp.exact_engine import distribution_after, enumerate_states, one_step_kernel
 from stopbp.model import BranchingModel, OffspringLaw, PopulationState, unit_state
 from stopbp.spectral import (
+    MomentData,
     OutsideTheoremError,
     classify,
     first_moments,
@@ -14,7 +15,6 @@ from stopbp.spectral import (
     perron_triple,
     require_subcritical,
     second_moments,
-    spectral_radius,
     survival_constant,
     survival_constants,
 )
@@ -160,11 +160,12 @@ class TestSpectralRadius:
         model, _ = m2
         A = first_moments(model)
         oracle = max(abs(np.linalg.eigvals(A)))
-        assert spectral_radius(A) == pytest.approx(oracle, abs=1e-12)
+        assert classify(moments(model)).delta == pytest.approx(oracle, abs=1e-12)
 
     def test_periodic_matrix(self):
         A = np.array([[0.0, 2.0], [0.5, 0.0]])  # eigenvalues +/- 1
-        assert spectral_radius(A) == pytest.approx(1.0, abs=1e-10)
+        summary = classify(MomentData(A=A, B=np.zeros((2, 2, 2))))
+        assert summary.delta == pytest.approx(1.0, abs=1e-10)
 
 
 class TestPerronTriple:
