@@ -27,7 +27,6 @@ from stopbp.model import BranchingModel, PopulationState, StoppingSet
 DEFAULT_WINDOW = (-60, 200)
 PRE_ASYMPTOTIC_FACTOR = 10
 RIDGE = 1e-12
-OVERFLOW_LIMIT = 0.05  # largest overflow bound a probe row may carry
 
 
 class RankDeficiencyError(ValueError):
@@ -256,12 +255,10 @@ def periodicity_probe(
     nbar <= PRE_ASYMPTOTIC_FACTOR * r0 are flagged pre-asymptotic rather
     than rejected.  Grid and partner starts all go through
     ``exact_engine.series_absorptions``, the pipeline ``stopbp series`` runs
-    too: they are checked against the cap before the kernel is built and
-    share one pinned backward pass of the stopped chain, which each start
-    reads at its own horizon, so each row's ``series_bound`` stays below
-    tol and its ``overflow`` is the stopped chain's overflow mass there.
-    Fails when the accumulated overflow bound of any row exceeds
-    ``OVERFLOW_LIMIT`` (cap too small for the requested totals).
+    too: they are checked against the cap, then share one pass over the
+    generating functions truncated at degree r0, which each start reads at
+    its own horizon, so each row's ``series_bound`` stays below tol.  No
+    state space is capped, so each row's ``overflow`` is 0.
     """
     summary = spectral.perron_triple(spectral.moments(model))
     delta = spectral.require_subcritical(summary, "probe")
@@ -281,11 +278,6 @@ def periodicity_probe(
     report = ProbeReport(target=r, delta=delta, cap=cap)
     threshold = PRE_ASYMPTOTIC_FACTOR * stopping.max_total
     for i, (start, result) in enumerate(zip(starts, results)):
-        if result.overflow_mass > OVERFLOW_LIMIT:
-            raise exact_engine.CapacityError(
-                f"overflow bound {result.overflow_mass:.3g} exceeds "
-                f"{OVERFLOW_LIMIT} at nbar={start.total}; raise the cap"
-            )
         report.rows.append(ProbeRow(
             state=start,
             nbar=start.total,

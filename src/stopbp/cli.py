@@ -540,13 +540,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None  # built on first use
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    global _PARSER
     level = os.environ.get("BP_LOG", "info").upper()
     logging.basicConfig(level=getattr(logging, level, logging.INFO),
                         format="%(levelname)s %(message)s")
-    parser = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_OK if exc.code in (None, 0) else EXIT_USAGE

@@ -2,7 +2,7 @@
 
 Works on a capped state space: every population vector with total count up
 to ``cap``, plus one absorbing overflow sentinel that collects probability
-mass leaving the cap.  All absorption probabilities computed here are exact
+mass leaving the cap.  All absorption probabilities computed on it are exact
 for the truncated chain; the accumulated overflow mass is reported as the
 truncation error bound against the uncapped model.
 
@@ -21,10 +21,13 @@ Every kernel product but the matrix powers of ``compose`` runs through
 
 Every start is checked once, by ``check_starts``, which needs only the
 stopping set and the cap, so a bad start fails before a kernel exists.
-``series_absorptions`` is the one dense series pipeline (gate, state space,
-kernel, ``limiting_absorptions``) that ``stopbp series`` and the probe run;
-its infinite-horizon values come from the direct route, one pinned backward
-pass of the stopped chain.
+``series_absorptions`` is the one series pipeline that ``stopbp series``
+and the probe run, and it needs no cap and no kernel: every stopping state
+has total <= r0, so the laws P(Z_l = beta), beta in S, come from generating
+functions truncated at degree r0 (``genfun.truncated_laws``), and a renewal
+over first entrances into S sums the absorption at r.  The dense
+``limiting_absorptions``, one pinned backward pass of the stopped chain, is
+its oracle.
 """
 
 from __future__ import annotations
@@ -644,11 +647,20 @@ class LimitingAbsorption:
 def _horizon(summary, counts, tol: float) -> tuple[int, float]:
     """First step T, and its bound, with ``geometric_tail_bound(summary,
     counts, T - 1) < tol``: absorption after T needs Z_T != 0, whose
-    probability that bound dominates."""
-    for t in range(1, MAX_SERIES_TERMS + 1):
+    probability that bound dominates.  The bound is b delta^T, so T is read
+    off its log and then confirmed by the same test at T - 1 and T."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    scale = geometric_tail_bound(summary, counts, -1)
+    guess = (math.log(tol) - math.log(scale)) / math.log(summary.delta)
+    t = min(max(math.floor(guess) + 1, 1), MAX_SERIES_TERMS + 1)
+    while t > 1 and geometric_tail_bound(summary, counts, t - 2) < tol:
+        t -= 1
+    while t <= MAX_SERIES_TERMS:
         bound = geometric_tail_bound(summary, counts, t - 1)
         if bound < tol:
             return t, bound
+        t += 1
     raise ArithmeticError(f"series did not meet tol={tol} in {MAX_SERIES_TERMS} terms")
 
 
@@ -674,8 +686,6 @@ def limiting_absorptions(
     to the largest T_n; each start reads its value and the stopped chain's
     overflow mass at its own T_n.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     space = kernel.space
     starts = list(starts)
     check_starts(stopping, starts, r, space.cap)
@@ -711,17 +721,45 @@ def series_absorptions(
     cap: int,
     tol: float = 1e-10,
 ) -> list[LimitingAbsorption]:
-    """Infinite-horizon absorption probabilities from ``starts`` at ``cap``.
+    """Infinite-horizon absorption probabilities from ``starts``, cap-free.
 
-    The dense series pipeline behind ``stopbp series`` and the probe: the
-    starts pass ``check_starts`` before anything is allocated; then the
-    capped space and its one-step kernel feed ``limiting_absorptions``.
+    The pipeline behind ``stopbp series`` and the probe: the starts pass
+    ``check_starts`` against ``cap`` first, and each start n gets the same
+    T_n and ``tail_bound`` as ``limiting_absorptions``.  The value is
+    P_n(absorbed at r by T_n) for the uncapped process, so ``overflow_mass``
+    is 0.  Every state of S has total <= r0 = ``stopping.max_total``, so only
+    the laws P(Z_l = beta), beta in S, enter: ``genfun.truncated_laws`` gives
+    them at degree r0 from every start n and every alpha in S, with
+    B(l)[alpha, beta] = P_alpha(Z_l = beta).  The first entrance into S at
+    step l is the renewal g_n(l) = P_n(Z_l in S) - sum_{i<l} g_n(i) B(l - i),
+    and the value is sum_{l <= T_n} g_n(l)[r].
     """
+    from stopbp import genfun  # genfun imports this module
+
     starts = list(starts)
     check_starts(stopping, starts, r, cap)
-    space = enumerate_states(model.k, cap)
-    kernel = one_step_kernel(model, space)
-    return limiting_absorptions(kernel, stopping, summary, starts, r, tol=tol)
+    horizons = [_horizon(summary, n.counts, tol) for n in starts]
+    terms = np.array([t for t, _ in horizons], dtype=np.int64)
+    steps = int(terms.max(initial=0))
+    space = enumerate_states(model.k, stopping.max_total)
+    members = stopping.sorted_members()
+    cols = [space.ordinal(a) for a in members]
+    counts = np.array([a.counts for a in members] + [n.counts for n in starts])
+    m, j = len(members), members.index(r)
+    first = np.zeros((steps + 1, len(starts), m))  # first[l] = g_n(l)
+    block = np.zeros((steps + 1, m, m))  # block[l] = B(l)
+    total, values = np.zeros(len(starts)), np.zeros(len(starts))
+    for l, laws in enumerate(genfun.truncated_laws(model, space, counts, steps), 1):
+        block[l] = laws[:m, cols]
+        first[l] = laws[m:, cols] - np.einsum(
+            "ins,ist->nt", first[1:l], block[l - 1: 0: -1]
+        )
+        total += first[l, :, j]
+        values[terms == l] = total[terms == l]
+    return [
+        LimitingAbsorption(value=float(value), tail_bound=bound, overflow_mass=0.0, terms=t)
+        for (t, bound), value in zip(horizons, values)
+    ]
 
 
 # ---------------------------------------------------------------------------

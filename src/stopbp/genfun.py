@@ -123,6 +123,72 @@ def iterate_h(model: BranchingModel, t: int, s) -> GenFunEvaluation:
     return GenFunEvaluation(t=t, s=s, h=h, R=R, Q=Q)
 
 
+def truncated_laws(model: BranchingModel, space, counts, steps: int):
+    """Yield, for l = 1..steps, P_n(Z_l = beta) for every row n of ``counts``
+    and every state beta of ``space`` (columns by ordinal).
+
+    These are the coefficients of prod_i F_l^(i)(s)^(n_i), F_l the l-th
+    iterate of h, truncated at total degree ``space.cap``.  Each factor is
+    expanded around its constant term: with r = 1 - F(0), iterated in
+    survival form, and v = (F - F(0)) / r, F^c = sum_m Bin(c, r)(m) v^m,
+    and v^m starts at degree m, so m <= cap suffices for any c.  The
+    binomial weights are taken in logs (log C(c, m) as a sum of logs), so c
+    may be huge; every other sum has nonnegative terms, so every coefficient
+    keeps its relative precision.  Laws count as normalised, as in
+    ``survival_map``.
+    """
+    k, cap, size = space.k, space.cap, space.n_states
+    states = space.states_array()
+    # truncated products: pairs (a, b) with a + b in the space, grouped by a + b
+    a, b = np.nonzero(states.sum(1)[:, None] + states.sum(1)[None, :] <= cap)
+    c = np.array([space.index[tuple(x)] for x in states[a] + states[b]], dtype=np.int64)
+    order = np.argsort(c, kind="stable")
+    a, b, groups = a[order], b[order], np.searchsorted(c[order], np.arange(size))
+
+    def product(x, y):
+        return np.add.reduceat(x[..., a] * y[..., b], groups, axis=-1)
+
+    laws = _law_arrays(model)
+    n_atoms = sum(len(probs) for _, probs in laws)
+    owner = np.concatenate([np.full(len(probs), i) for i, (_, probs) in enumerate(laws)])
+    mix = np.zeros((k, n_atoms))  # F_l^(i) = mix[i] @ (atom powers of F_(l-1))
+    mix[owner, np.arange(n_atoms)] = np.concatenate([probs for _, probs in laws])
+    rows = np.concatenate([x for x, _ in laws] + [np.asarray(counts, dtype=float)])
+    rows = rows[:, :, None]
+    m = np.arange(cap + 1, dtype=float)
+    excess = rows - m
+    with np.errstate(divide="ignore"):  # log C(c, m) = -inf for m > c
+        falling = np.log(np.maximum(excess[..., :-1], 0.0)).cumsum(axis=2)
+    log_binom = np.concatenate([np.zeros(rows.shape), falling], axis=2)
+    log_binom -= np.concatenate([[0.0], np.log(m[1:]).cumsum()])
+    rest, taken, atom_rows = excess > 0, m > 0, rows[:n_atoms, :, 0]
+
+    r = np.ones(k)  # F_0^(i)(s) = s_i: r = 1, v = s_i
+    v = np.zeros((k, size))
+    if cap:
+        v[range(k), [space.index[unit_state(i + 1, k).counts] for i in range(k)]] = 1.0
+    for l in range(steps + 1):
+        vpow = [np.eye(1, size).repeat(k, 0)]
+        for _ in range(cap):
+            vpow.append(product(vpow[-1], v))
+        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 or r = 1
+            log_a0 = np.log1p(-r)
+            weights = np.exp(log_binom + np.where(rest, excess * log_a0[:, None], 0.0)
+                             + np.where(taken, m * np.log(r)[:, None], 0.0))
+            dead = np.where(atom_rows > 0, atom_rows * log_a0, 0.0).sum(1)
+        factors = np.einsum("njm,mjs->njs", weights, np.array(vpow))
+        powers = factors[:, 0]
+        for j in range(1, k):
+            powers = product(powers, factors[:, j])
+        if l:
+            yield powers[n_atoms:]
+        if l < steps:
+            f = mix @ powers[:n_atoms]
+            r = -(mix @ np.expm1(dead))  # survival_map's 1 - h(1 - r)
+            v = np.divide(f, r[:, None], out=np.zeros_like(f), where=r[:, None] > 0.0)
+            v[:, 0] = 0.0
+
+
 def make_s_grid(k: int, n_points: int) -> np.ndarray:
     """Deterministic argument grid in [0, 1)^k.
 

@@ -111,3 +111,78 @@ def first_passage_probability(model, start_counts, stopping_counts, target_count
             return new.get(target, 0.0)
         dist = {c: p for c, p in new.items() if c not in stop}
     raise AssertionError("unreachable")
+
+
+def mp_absorption(model_text, start, target, steps, dps=50):
+    """P_start(absorbed at ``target`` within ``steps``) to ``dps`` digits.
+
+    Reads the probabilities of a model file as decimal strings and never
+    touches stopbp.  Generating functions are truncated at the largest
+    stopping total D; P_n(Z_l = beta) is the coefficient of s^beta in
+    prod_j F_l^(j)(s)^(n_j), with every power taken by repeated squaring.
+    The value comes from the stop-coefficient formula,
+    sum_l sum_alpha P_n(Z_l = alpha) c(steps - l + 1)[alpha, target], with
+    c(t) = I - (first passages within S in fewer than t steps).
+    """
+    import json
+
+    import mpmath
+
+    with mpmath.workdps(dps):
+        doc = json.loads(model_text, parse_float=mpmath.mpf)
+        k = len(doc["types"])
+        stop = sorted((tuple(s) for s in doc["stopping_set"]), key=lambda s: (sum(s), s))
+        degree = max(sum(s) for s in stop)
+        one = {(0,) * k: mpmath.mpf(1)}
+
+        def mul(p, q):
+            out = defaultdict(mpmath.mpf)
+            for a, x in p.items():
+                for b, y in q.items():
+                    c = tuple(i + j for i, j in zip(a, b))
+                    if sum(c) <= degree:
+                        out[c] += x * y
+            return dict(out)
+
+        def power(p, n):
+            out = one
+            while n:
+                if n & 1:
+                    out = mul(out, p)
+                p, n = mul(p, p), n >> 1
+            return out
+
+        def law(F, counts):
+            out = one
+            for p, n in zip(F, counts):
+                out = mul(out, power(p, n))
+            return out
+
+        F = [{tuple(int(i == j) for i in range(k)): mpmath.mpf(1)} for j in range(k)]
+        hits, blocks = [], []  # P_start(Z_l = alpha), P_alpha(Z_l = beta), l >= 1
+        for _ in range(steps):
+            new = []
+            for atoms in doc["offspring"]:
+                total = defaultdict(mpmath.mpf)
+                for atom in atoms:
+                    for c, x in law(F, atom["counts"]).items():
+                        total[c] += atom["p"] * x
+                new.append(dict(total))
+            F = new
+            row = law(F, start)
+            hits.append([row.get(a, 0) for a in stop])
+            blocks.append([[law(F, a).get(b, 0) for b in stop] for a in stop])
+        m = len(stop)
+        first = []  # first passage within S in u steps
+        for u in range(steps):
+            f = [[blocks[u][a][b] - sum(first[i][a][c] * blocks[u - i - 1][c][b]
+                                        for i in range(u) for c in range(m))
+                  for b in range(m)] for a in range(m)]
+            first.append(f)
+        j = stop.index(tuple(target))
+        q = mpmath.mpf(0)
+        for l in range(1, steps + 1):
+            for a in range(m):
+                coeff = int(a == j) - sum(first[u][a][j] for u in range(steps - l))
+                q += hits[l - 1][a] * coeff
+        return q

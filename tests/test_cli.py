@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from stopbp import exact_engine, spectral
+from stopbp import cli, exact_engine, spectral
 from stopbp.builtin_models import M1_TEXT, M2_TEXT
 from stopbp.cli import main
 
@@ -290,8 +290,8 @@ class TestSeries:
         assert q["series"] == pytest.approx(q["direct"], abs=1e-9)
 
     def test_large_start_bound_within_tol(self, m1_path, tmp_path):
-        # the stop-coefficient truncation grows with the start, so the
-        # first-passage horizon has to be sized from it
+        # the geometric tail bound grows with the start, so the horizon is
+        # sized per start and the reported bound stays below tol
         out = tmp_path / "s.csv"
         assert main([
             "series", "--model", m1_path, "--n", "[150]", "--r", "[2]",
@@ -493,3 +493,24 @@ class TestConfigPrecedence:
             "stop-prob", "--model", m1_path, "--n", "[1]", "--r", "[2]",
             "--t", "2", "--cap", "30", "--out", str(out),
         ]) == 0
+
+
+class TestParserReuse:
+    def test_usage_error_then_valid_call(self, m1_path, tmp_path, monkeypatch):
+        # the parser is built once per process; a failed parse leaves it usable
+        built, build = [], cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        assert main(["series", "--model", m1_path, "--frobnicate"]) == 2
+        out = tmp_path / "s.csv"
+        assert main([
+            "series", "--model", m1_path, "--n", "[1]", "--r", "[2]",
+            "--cap", "60", "--out", str(out),
+        ]) == 0
+        assert ",series," in out.read_text()
+        assert len(built) == 1

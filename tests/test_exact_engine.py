@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from stopbp import exact_engine
 from stopbp.exact_engine import (
+    MAX_SERIES_TERMS,
     CapacityError,
     absorb_direct,
     absorb_via_formula,
@@ -18,15 +20,27 @@ from stopbp.exact_engine import (
     one_step_kernel,
     restricted_kernel,
     restricted_via_inclusion_exclusion,
+    series_absorptions,
     stop_coefficients,
     stopped_hitting_column,
     stopped_kernel,
     t_step_kernel,
 )
-from stopbp.model import PopulationState, StoppingSet
+from stopbp.model import (
+    BranchingModel,
+    OffspringLaw,
+    PopulationState,
+    StoppingSet,
+    load_model,
+)
 from stopbp.spectral import moments, perron_triple
 
-from oracles import first_passage_probability, free_distribution, stopped_distribution
+from oracles import (
+    first_passage_probability,
+    free_distribution,
+    mp_absorption,
+    stopped_distribution,
+)
 
 S = PopulationState
 
@@ -477,6 +491,128 @@ class TestLimitingAbsorption:
             limiting_absorptions(
                 kernel, stopping, summary, [S((1,)), S((2,))], S((2,))
             )
+
+
+# three types, stopping states of totals 1 and 2; mean matrix with Perron
+# root 0.628 and a positive square
+K3_TEXT = """\
+{
+  "version": 1,
+  "types": ["a", "b", "c"],
+  "offspring": [
+    [{"counts": [0, 0, 0], "p": 0.5}, {"counts": [0, 1, 0], "p": 0.3},
+     {"counts": [1, 0, 1], "p": 0.2}],
+    [{"counts": [0, 0, 0], "p": 0.6}, {"counts": [0, 0, 1], "p": 0.25},
+     {"counts": [2, 0, 0], "p": 0.15}],
+    [{"counts": [0, 0, 0], "p": 0.55}, {"counts": [1, 0, 0], "p": 0.3},
+     {"counts": [0, 1, 1], "p": 0.15}]
+  ],
+  "stopping_set": [[1, 0, 0], [0, 1, 1]]
+}
+"""
+
+
+def assert_matches_dense(model, stopping, cap, starts, tol=1e-10):
+    """Cap-free series against the dense stopped-chain pass, every target."""
+    summary = perron_triple(moments(model))
+    kernel = one_step_kernel(model, enumerate_states(model.k, cap))
+    starts = [S(counts) for counts in starts]
+    for r in stopping:
+        dense = limiting_absorptions(kernel, stopping, summary, starts, r, tol=tol)
+        free = series_absorptions(model, stopping, summary, starts, r, cap, tol=tol)
+        for n, got, want in zip(starts, free, dense):
+            assert got.terms == want.terms
+            assert got.tail_bound == want.tail_bound
+            assert got.overflow_mass == 0.0
+            assert abs(got.value - want.value) <= want.overflow_mass + 1e-12, (
+                n.label(), r.label())
+
+
+class TestSeriesAbsorptions:
+    @pytest.mark.parametrize("name, cap, starts, members", [
+        ("m1", 400, [(1,), (3,), (50,), (150,)], None),
+        ("m1", 30, [(1,), (9,), (25,)], None),
+        ("m2", 40, [(0, 1), (0, 2), (1, 1), (3, 4)], None),
+        ("m2", 30, [(1, 1), (3, 2), (0, 3)], [(1, 0), (0, 2)]),
+    ])
+    def test_matches_dense(self, request, name, cap, starts, members):
+        model, stopping = request.getfixturevalue(name)
+        if members is not None:
+            stopping = StoppingSet(frozenset(S(m) for m in members))
+        assert_matches_dense(model, stopping, cap, starts)
+
+    def test_matches_dense_three_types(self):
+        model, stopping = load_model(K3_TEXT)
+        assert_matches_dense(model, stopping, 18, [(1, 1, 1), (2, 0, 1), (0, 2, 0)])
+
+    def test_builds_no_kernel(self, m2, monkeypatch):
+        model, stopping = m2
+        summary = perron_triple(moments(model))
+        states = exact_engine.enumerate_states
+
+        def refuse_kernel(*args, **kwargs):
+            raise AssertionError("series built a kernel")
+
+        def degree_only(k, cap, *args, **kwargs):
+            assert cap == stopping.max_total, "series enumerated states at the cap"
+            return states(k, cap, *args, **kwargs)
+
+        monkeypatch.setattr(exact_engine, "one_step_kernel", refuse_kernel)
+        monkeypatch.setattr(exact_engine, "enumerate_states", degree_only)
+        [result] = series_absorptions(
+            model, stopping, summary, [S((30, 40))], S((1, 0)), 10**6, tol=1e-10
+        )
+        assert 0.0 < result.value < 1.0
+
+    @pytest.mark.parametrize("name, r, starts", [
+        ("m1", (2,), [(10**6,), (10**9,)]),
+        ("m2", (1, 0), [(10**6, 10**6), (10**9, 2 * 10**9)]),
+    ])
+    def test_large_starts_against_mpmath(self, request, name, r, starts):
+        # 50-digit reference by the stop-coefficient formula on decimal
+        # probabilities; log a0 taken as log(1 - r) instead of log1p(-r)
+        # moves these values by about 1.2e-11
+        model, stopping = request.getfixturevalue(name)
+        text = request.getfixturevalue(f"{name}_text")
+        summary = perron_triple(moments(model))
+        results = series_absorptions(
+            model, stopping, summary, [S(n) for n in starts], S(r), 10**10, tol=1e-12
+        )
+        for n, result in zip(starts, results):
+            reference = mp_absorption(text, n, r, result.terms)
+            assert abs(result.value - float(reference)) <= 1e-12, n
+
+
+def linear_horizon(summary, counts, tol):
+    for t in range(1, MAX_SERIES_TERMS + 1):
+        bound = geometric_tail_bound(summary, counts, t - 1)
+        if bound < tol:
+            return t, bound
+    raise AssertionError("no horizon")
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("delta", [0.02, 0.3, 0.6, 0.9, 0.999])
+    def test_matches_linear_scan(self, delta):
+        law = OffspringLaw(((S((0,)), 1.0 - delta / 2), (S((2,)), delta / 2)))
+        model = BranchingModel(("a",), (law,))
+        summary = perron_triple(moments(model))
+        for n in (1, 2, 7, 1000, 10**9):
+            for tol in (0.5, 1e-3, 1e-9, 1e-10, 1e-13, 1e-15):
+                expected = linear_horizon(summary, (n,), tol)
+                assert exact_engine._horizon(summary, (n,), tol) == expected
+
+    def test_matches_linear_scan_two_types(self, m2):
+        summary = perron_triple(moments(m2[0]))
+        for counts in [(0, 1), (1, 1), (30, 40), (10**6, 3)]:
+            for tol in np.geomspace(1e-15, 1e-2, 40):
+                expected = linear_horizon(summary, counts, tol)
+                assert exact_engine._horizon(summary, counts, tol) == expected
+
+    def test_refuses_nonpositive_tol(self, m1):
+        summary = perron_triple(moments(m1[0]))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            exact_engine._horizon(summary, (1,), 0.0)
 
 
 class TestAbsorptionTable:

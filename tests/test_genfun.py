@@ -18,11 +18,14 @@ from stopbp.genfun import (
     single_offspring_matrix,
     single_offspring_reachable,
     survival_map,
+    truncated_laws,
     yaglom,
     yaglom_residual,
 )
 from stopbp.model import PopulationState, unit_state
 from stopbp.spectral import moments, perron_triple
+
+from oracles import free_distribution
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +362,23 @@ class TestYaglomResidual:
             for ordinal, state in enumerate(space.states)
         )
         assert h_star(data, np.array([s])) == pytest.approx(oracle, rel=1e-12)
+
+
+class TestTruncatedLaws:
+    @pytest.mark.parametrize("name, counts", [
+        ("m1", [(1,), (2,), (4,)]),
+        ("m2", [(1, 0), (0, 2), (2, 1), (3, 0)]),
+    ])
+    def test_against_bruteforce(self, request, name, counts):
+        # P_n(Z_l = beta) for every beta of total <= 3, against the exact
+        # free-process law by dictionary convolution
+        model, _ = request.getfixturevalue(name)
+        space = enumerate_states(model.k, 3)
+        for l, laws in enumerate(truncated_laws(model, space, counts, 4), 1):
+            for row, n in zip(laws, counts):
+                exact = free_distribution(model, n, l)
+                want = [exact.get(state.counts, 0.0) for state in space.states]
+                np.testing.assert_allclose(row, want, rtol=1e-13, atol=1e-16)
 
 
 class TestSGrid:

@@ -21,6 +21,8 @@ from stopbp.exact_engine import (
 from stopbp.model import BranchingModel, OffspringLaw, PopulationState, StoppingSet
 from stopbp.spectral import classify, moments
 
+from test_exact_engine import assert_matches_dense
+
 
 def random_model(seed: int, k: int = 2, max_children: int = 2) -> BranchingModel:
     """Random finite-support laws, biased toward extinction (subcritical)."""
@@ -112,3 +114,13 @@ def test_overflow_bound_is_honest(seed):
     assert values[6] <= values[10] + 1e-12 <= values[20] + 2e-12
     assert values[20] - values[6] <= overflow[6] + 1e-12
     assert values[20] - values[10] <= overflow[10] + 1e-12
+
+
+@pytest.mark.parametrize("seed", [3, 58, 104])
+def test_series_matches_dense_random_model(seed):
+    # the cap-free series against the dense stopped chain on the primitive
+    # (indecomposable, aperiodic) seeds
+    model = random_model(seed)
+    assert classify(moments(model)).period == 1, "seeds are chosen primitive"
+    stopping = StoppingSet(frozenset({PopulationState((1, 0)), PopulationState((1, 1))}))
+    assert_matches_dense(model, stopping, 30, [(0, 1), (0, 2), (2, 2), (5, 3)])
