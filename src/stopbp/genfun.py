@@ -10,6 +10,7 @@ even when many orders of magnitude below machine epsilon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,14 +22,17 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 SNAPSHOT_LAG = 5
 
 
-def _law_arrays(model: BranchingModel):
-    """Per type: (atom count matrix, probability vector)."""
+@lru_cache(maxsize=32)
+def _law_arrays(model: BranchingModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per type: (atom count matrix, probability vector); built once per model
+    and read-only, since every caller shares them."""
     out = []
     for law in model.laws:
         counts = np.array([state.counts for state, _ in law.atoms], dtype=float)
         probs = np.array([p for _, p in law.atoms])
+        counts.flags.writeable = probs.flags.writeable = False
         out.append((counts, probs))
-    return out
+    return tuple(out)
 
 
 def _check_unit_box(s: np.ndarray, k: int):

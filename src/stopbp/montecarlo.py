@@ -10,6 +10,16 @@ One batched engine, ``_simulate_stopped_batch``, runs every trajectory; the
 conditional-law estimator runs it with an empty stopping set (the free
 process).  ``workers`` splits the trajectory indices into that many
 contiguous ranges, each simulated on its own thread.
+
+The engine is type-major: live states form a (k, m) array, one contiguous
+row per type, so totals and stopping tests are k row operations.  In a step,
+type i's particles lie trajectory by trajectory; with e the cumulative sum of
+the counts c, trajectory p owns positions [e_p - c_p, e_p) and its particle at
+position q draws word key_p + gamma * (counter_p + q - (e_p - c_p)).  Modulo
+2**64 that is (key_p + gamma * (counter_p - e_p + c_p)) + gamma * q: one
+repeat of a per-trajectory word plus gamma * q gives every particle the word
+it always had.  Offspring counts are differences of cumulative sums at e_p
+and e_p - c_p.
 """
 
 from __future__ import annotations
@@ -39,10 +49,13 @@ _U64 = np.uint64
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer; bijective scrambling of 64-bit words."""
-    x = (x ^ (x >> _U64(30))) * _M1
-    x = (x ^ (x >> _U64(27))) * _M2
-    return x ^ (x >> _U64(31))
+    """SplitMix64 finalizer, in place; bijective scrambling of 64-bit words."""
+    x ^= x >> _U64(30)
+    x *= _M1
+    x ^= x >> _U64(27)
+    x *= _M2
+    x ^= x >> _U64(31)
+    return x
 
 
 def trajectory_keys(seed: int, indices: np.ndarray) -> np.ndarray:
@@ -51,10 +64,14 @@ def trajectory_keys(seed: int, indices: np.ndarray) -> np.ndarray:
     return _mix(base + _GAMMA * indices.astype(np.uint64))
 
 
-def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Uniform(0,1) draws for (stream key, draw counter) pairs."""
-    bits = _mix(keys + _GAMMA * counters)
-    return (bits >> _U64(11)).astype(np.float64) * (2.0**-53)
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniform(0,1) draws for stream words key + gamma * counter; overwrites
+    ``words``."""
+    bits = _mix(words)
+    bits >>= _U64(11)
+    u = bits.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +106,12 @@ class AliasSampler:
         return cls(accept=accept, alias=alias, atoms=atoms)
 
     def pick(self, u: np.ndarray) -> np.ndarray:
-        """Atom indices for uniforms in [0, 1)."""
-        x = u * len(self.accept)
-        idx = x.astype(np.int64)
-        frac = x - idx
-        return np.where(frac < self.accept[idx], idx, self.alias[idx])
+        """Atom indices for uniforms in [0, 1); overwrites ``u``."""
+        u *= len(self.accept)
+        idx = u.astype(np.int64)
+        u -= idx  # fractional part
+        np.putmask(idx, u >= self.accept[idx], self.alias[idx])
+        return idx
 
 
 @lru_cache(maxsize=32)
@@ -111,31 +129,38 @@ def _batch_step(
     counters: np.ndarray,
     samplers: tuple[AliasSampler, ...],
 ) -> np.ndarray:
-    """Advance every trajectory one generation, consuming counter draws."""
-    m, k = states.shape
+    """Advance the type-major (k, m) ``states`` one generation, consuming
+    counter draws; see the module docstring for the particle layout."""
     out = np.zeros_like(states)
     for i, sampler in enumerate(samplers):
-        c = states[:, i]
-        tot = int(c.sum())
+        c = states[i]
+        ends = np.cumsum(c)
+        tot = int(ends[-1])
         if tot == 0:
             continue
-        pos = np.repeat(np.arange(m), c)
-        starts = np.repeat(np.cumsum(c) - c, c)
-        local = (np.arange(tot) - starts).astype(np.uint64)
-        u = _uniforms(keys[pos], counters[pos] + local)
-        drawn = sampler.atoms[sampler.pick(u)]  # (tot, k)
-        for j in range(k):
-            out[:, j] += np.bincount(pos, weights=drawn[:, j], minlength=m).astype(
-                np.int64
-            )
+        starts = ends - c
+        words = np.arange(tot, dtype=np.uint64)
+        words *= _GAMMA
+        words += np.repeat(keys + _GAMMA * (counters - starts.astype(np.uint64)), c)
+        u = _uniforms(words)
+        del words
+        picks = sampler.pick(u)
+        del u
+        for j, column in enumerate(sampler.atoms.T):
+            if column.any():  # offspring counts of type j as segment sums
+                cs = np.zeros(tot + 1, dtype=np.int64)
+                np.cumsum(column.take(picks), out=cs[1:])
+                out[j] += cs.take(ends)
+                out[j] -= cs.take(starts)
         counters += c.astype(np.uint64)
     return out
 
 
 def _stop_mask(states: np.ndarray, stopping: Iterable[PopulationState]) -> np.ndarray:
-    mask = np.zeros(states.shape[0], dtype=bool)
+    """Columns of the type-major ``states`` that equal a member of ``stopping``."""
+    mask = np.zeros(states.shape[1], dtype=bool)
     for member in stopping:
-        mask |= np.all(states == np.asarray(member.counts), axis=1)
+        mask |= np.logical_and.reduce([row == c for row, c in zip(states, member.counts)])
     return mask
 
 
@@ -151,12 +176,13 @@ def _simulate_stopped_batch(
 
     Status codes: 0 alive, 1 died, 2 stopped, 3 exploded (total above
     ``EXPLOSION_LIMIT``).  An empty ``stopping`` runs the free process.
+    ``final`` is (m, k), the transpose of a type-major array.
     """
     samplers = _samplers(model)
     m = len(indices)
     status = np.zeros(m, dtype=np.int8)
     steps = np.full(m, t_max, dtype=np.int64)
-    final = np.tile(np.asarray(start.counts, dtype=np.int64), (m, 1))
+    final = np.repeat(np.asarray(start.counts, dtype=np.int64)[:, None], m, axis=1)
     # live arrays carry only still-running trajectories
     active = np.arange(m)
     states = final.copy()
@@ -166,24 +192,24 @@ def _simulate_stopped_batch(
         if active.size == 0:
             break
         states = _batch_step(states, keys, counters, samplers)
-        totals = states.sum(axis=1)
+        totals = states.sum(axis=0)
         died = totals == 0
         stopped = _stop_mask(states, stopping)
-        exploded = totals > EXPLOSION_LIMIT
-        done = died | stopped | exploded
-        if np.any(done):
-            rows = active[done]
-            status[rows] = np.where(
-                died[done], 1, np.where(stopped[done], 2, 3)
-            ).astype(np.int8)
-            steps[rows] = t
-            final[rows] = states.compress(done, axis=0)
-        # compress/take pick rows several times faster than boolean indexing
+        done = died | stopped | (totals > EXPLOSION_LIMIT)
+        gone = np.flatnonzero(done)
+        if gone.size == 0:
+            continue
+        rows = active[gone]
+        status[rows] = np.where(died[gone], 1, np.where(stopped[gone], 2, 3))
+        steps[rows] = t
+        for row, live in zip(final, states):
+            row[rows] = live.take(gone)
+        # take picks columns several times faster than fancy indexing
         keep = np.flatnonzero(~done)
         active, keys, counters = active[keep], keys[keep], counters[keep]
-        states = states.take(keep, axis=0)
-    final[active] = states
-    return status, final, steps
+        states = states.take(keep, axis=1)
+    final[:, active] = states
+    return status, final.T, steps
 
 
 @dataclass(eq=False)
@@ -227,14 +253,10 @@ def estimate_absorption(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     check_absorption_starts(stopping, [n], r)
-    target = np.asarray(r.counts, dtype=np.int64)
 
     def count_hits(indices: np.ndarray) -> int:
-        status, final, steps = _simulate_stopped_batch(
-            model, n, stopping, t, seed, indices
-        )
-        hit = (status == 2) & np.all(final == target, axis=1) & (steps <= t)
-        return int(hit.sum())
+        status, final, _ = _simulate_stopped_batch(model, n, stopping, t, seed, indices)
+        return int(np.count_nonzero((status == 2) & _stop_mask(final.T, [r])))
 
     hits = sum(_map_workers(count_hits, reps, workers))
     p = hits / reps

@@ -36,6 +36,24 @@ SUPERCRITICAL_TEXT = """
 }
 """
 
+# three types, stopping states of totals 1 and 2; mean matrix with Perron
+# root 0.628 and a positive square
+K3_TEXT = """
+{
+  "version": 1,
+  "types": ["a", "b", "c"],
+  "offspring": [
+    [{"counts": [0, 0, 0], "p": 0.5}, {"counts": [0, 1, 0], "p": 0.3},
+     {"counts": [1, 0, 1], "p": 0.2}],
+    [{"counts": [0, 0, 0], "p": 0.6}, {"counts": [0, 0, 1], "p": 0.25},
+     {"counts": [2, 0, 0], "p": 0.15}],
+    [{"counts": [0, 0, 0], "p": 0.55}, {"counts": [1, 0, 0], "p": 0.3},
+     {"counts": [0, 1, 1], "p": 0.15}]
+  ],
+  "stopping_set": [[1, 0, 0], [0, 1, 1]]
+}
+"""
+
 
 @pytest.fixture(scope="session")
 def m1_text():
@@ -62,4 +80,10 @@ def m2():
 @pytest.fixture(scope="session")
 def supercritical():
     model, stopping = load_model(SUPERCRITICAL_TEXT)
+    return model, stopping
+
+
+@pytest.fixture(scope="session")
+def k3():
+    model, stopping = load_model(K3_TEXT)
     return model, stopping

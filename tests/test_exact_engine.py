@@ -31,7 +31,6 @@ from stopbp.model import (
     OffspringLaw,
     PopulationState,
     StoppingSet,
-    load_model,
 )
 from stopbp.spectral import moments, perron_triple
 
@@ -493,25 +492,6 @@ class TestLimitingAbsorption:
             )
 
 
-# three types, stopping states of totals 1 and 2; mean matrix with Perron
-# root 0.628 and a positive square
-K3_TEXT = """\
-{
-  "version": 1,
-  "types": ["a", "b", "c"],
-  "offspring": [
-    [{"counts": [0, 0, 0], "p": 0.5}, {"counts": [0, 1, 0], "p": 0.3},
-     {"counts": [1, 0, 1], "p": 0.2}],
-    [{"counts": [0, 0, 0], "p": 0.6}, {"counts": [0, 0, 1], "p": 0.25},
-     {"counts": [2, 0, 0], "p": 0.15}],
-    [{"counts": [0, 0, 0], "p": 0.55}, {"counts": [1, 0, 0], "p": 0.3},
-     {"counts": [0, 1, 1], "p": 0.15}]
-  ],
-  "stopping_set": [[1, 0, 0], [0, 1, 1]]
-}
-"""
-
-
 def assert_matches_dense(model, stopping, cap, starts, tol=1e-10):
     """Cap-free series against the dense stopped-chain pass, every target."""
     summary = perron_triple(moments(model))
@@ -541,8 +521,8 @@ class TestSeriesAbsorptions:
             stopping = StoppingSet(frozenset(S(m) for m in members))
         assert_matches_dense(model, stopping, cap, starts)
 
-    def test_matches_dense_three_types(self):
-        model, stopping = load_model(K3_TEXT)
+    def test_matches_dense_three_types(self, k3):
+        model, stopping = k3
         assert_matches_dense(model, stopping, 18, [(1, 1, 1), (2, 0, 1), (0, 2, 0)])
 
     def test_builds_no_kernel(self, m2, monkeypatch):

@@ -8,6 +8,7 @@ from stopbp.exact_engine import (
     one_step_kernel,
 )
 from stopbp.genfun import (
+    _law_arrays,
     eval_h,
     h_star,
     iterate_h,
@@ -94,6 +95,17 @@ class TestSurvivalMap:
         model, _ = m2
         out = survival_map(model, np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, 1.0 - eval_h(model, [0.0, 0.0]), atol=1e-15)
+
+    def test_law_arrays_built_once_and_read_only(self, m2):
+        # every call of the map shares one set of arrays per model
+        model, _ = m2
+        laws = _law_arrays(model)
+        assert _law_arrays(model) is laws
+        counts, probs = laws[0]
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            probs[0] = 1.0
 
 
 class TestIterateH:

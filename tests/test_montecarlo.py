@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from stopbp.montecarlo import (
     estimate_absorption,
     estimate_yaglom,
     trajectory_keys,
+    _GAMMA,
     _batch_step,
     _samplers,
     _simulate_stopped_batch,
@@ -23,11 +26,31 @@ def rng(seed=0):
 
 
 def batch_step(model, counts, rows, seed):
-    """One generation from ``rows`` copies of ``counts``; (next states, draws used)."""
+    """One generation from ``rows`` copies of ``counts`` (a state or a list of
+    states); (next states, draws used), one row per trajectory."""
     states = np.tile(np.asarray(counts, dtype=np.int64), (rows, 1))
-    keys = trajectory_keys(seed, np.arange(rows))
-    counters = np.zeros(rows, dtype=np.uint64)
-    return _batch_step(states, keys, counters, _samplers(model)), counters
+    keys = trajectory_keys(seed, np.arange(len(states)))
+    counters = np.zeros(len(states), dtype=np.uint64)
+    # the engine is type-major: (k, m) in, (k, m) out
+    out = _batch_step(np.ascontiguousarray(states.T), keys, counters, _samplers(model))
+    return out.T, counters
+
+
+def particle_reference(model, rows, seed):
+    """The stream's definition, one particle at a time: draw number c of
+    trajectory i is ``_uniforms(key_i + gamma * c)``, spent on the types in
+    order."""
+    samplers = _samplers(model)
+    keys = trajectory_keys(seed, np.arange(len(rows)))
+    out = np.zeros_like(rows)
+    draws = np.zeros(len(rows), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        for sampler, count in zip(samplers, row):
+            for _ in range(count):
+                u = _uniforms(keys[i : i + 1] + _GAMMA * draws[i : i + 1])
+                out[i] += sampler.atoms[sampler.pick(u)[0]]
+                draws[i] += 1
+    return out, draws
 
 
 class TestCounterStream:
@@ -40,7 +63,7 @@ class TestCounterStream:
 
     def test_uniform_range_and_spread(self):
         keys = trajectory_keys(7, np.arange(200_000))
-        u = _uniforms(keys, np.zeros(200_000, dtype=np.uint64))
+        u = _uniforms(keys)  # draw 0 of each stream
         assert np.all((u >= 0.0) & (u < 1.0))
         assert abs(u.mean() - 0.5) < 0.003
         assert abs(np.var(u) - 1 / 12) < 0.001
@@ -85,6 +108,75 @@ class TestStep:
         totals = out.sum(axis=1)
         sigma = totals.std() / np.sqrt(len(totals))
         assert abs(totals.mean() - 1.1) <= 4 * sigma
+
+
+class TestStreamPinned:
+    """Exact outputs recorded from the row-major engine that preceded the
+    type-major one, at every worker count, and one step against the stream's
+    definition: the engine may change its layout and arithmetic, never a
+    stream."""
+
+    @pytest.mark.parametrize("name, n, r, t, seed, hits", [
+        ("m1", (1,), (2,), 5, 42, 5970),
+        ("m2", (1, 1), (1, 0), 18, 21, 7508),
+        ("m2", (0, 2), (1, 0), 10, 7, 10518),
+        ("k3", (1, 1, 1), (1, 0, 0), 10, 5, 4445),
+        ("k3", (2, 0, 1), (0, 1, 1), 10, 6, 2608),
+    ])
+    def test_absorption_hits(self, request, name, n, r, t, seed, hits):
+        model, stopping = request.getfixturevalue(name)
+        for workers in (1, 2, 3):
+            est = estimate_absorption(
+                S(n), S(r), stopping, model, t, 20_000, seed, workers=workers
+            )
+            assert est.hits == hits
+
+    @pytest.mark.parametrize("name, j, t, seed, survivors, counts", [
+        ("m1", 1, 5, 3, 151, {(2,): 111, (4,): 32, (6,): 6, (8,): 1, (10,): 1}),
+        ("m2", 1, 6, 8, 168, {
+            (0, 1): 41, (0, 2): 7, (0, 3): 1, (1, 0): 48, (1, 1): 1, (1, 2): 1,
+            (2, 0): 41, (2, 1): 12, (2, 2): 1, (2, 3): 1, (3, 0): 4, (3, 1): 5,
+            (3, 2): 1, (4, 0): 2, (4, 2): 1, (6, 0): 1}),
+        ("m2", 2, 4, 9, 304, {
+            (0, 1): 94, (0, 2): 14, (1, 0): 90, (1, 1): 6, (1, 2): 3, (2, 0): 69,
+            (2, 1): 13, (3, 0): 1, (3, 1): 4, (4, 0): 7, (4, 1): 1, (5, 0): 1,
+            (6, 0): 1}),
+    ])
+    def test_yaglom_counts(self, request, name, j, t, seed, survivors, counts):
+        # the free process: the engine runs with an empty stopping set
+        model, _ = request.getfixturevalue(name)
+        for workers in (1, 2, 3):
+            est = estimate_yaglom(j, model, t, 5_000, seed, workers=workers)
+            assert est.survivors == survivors
+            assert est.counts == counts
+
+    @pytest.mark.parametrize("name, rows", [
+        # trajectory 0 holds no type-a particle, so its segment starts at 0;
+        # the law of type b has an all-zero column
+        ("m2", [[0, 3], [2, 0], [0, 0], [1, 1], [4, 2]]),
+        ("m2", [[3, 5]]),
+        ("k3", [[0, 2, 1], [1, 0, 0], [2, 2, 2], [0, 0, 4]]),
+        ("m1", [[0], [5], [1]]),
+    ])
+    def test_step_matches_particle_reference(self, request, name, rows):
+        model, _ = request.getfixturevalue(name)
+        for seed in (0, 17):
+            out, draws = batch_step(model, rows, 1, seed)
+            want, want_draws = particle_reference(model, np.array(rows), seed)
+            np.testing.assert_array_equal(out, want)
+            np.testing.assert_array_equal(draws, want_draws)
+
+    def test_one_trajectory_batches(self, m2):
+        model, stopping = m2
+        whole = _simulate_stopped_batch(
+            model, S((1, 1)), stopping, 18, 21, np.arange(40)
+        )
+        for i in (0, 17, 39):
+            alone = _simulate_stopped_batch(
+                model, S((1, 1)), stopping, 18, 21, np.array([i])
+            )
+            for got, want in zip(alone, whole):
+                np.testing.assert_array_equal(got, want[i : i + 1])
 
 
 class TestRunStopped:
@@ -220,12 +312,17 @@ class TestExplosionGuard:
         model, _ = supercritical
         monkeypatch.setattr(mc, "EXPLOSION_LIMIT", 5000)
         stopping = StoppingSet(frozenset({S((3,))}))  # unreachable (even totals)
-        status, final, _ = _simulate_stopped_batch(
+        status, final, steps = _simulate_stopped_batch(
             model, S((4,)), stopping, 60, 8, np.arange(50)
         )
         exploded = status == 3
         assert exploded.any()
         assert np.all(final[exploded].sum(axis=1) > 5000)
+        # pinned from the row-major engine: every row explodes, at these steps
+        assert np.all(exploded)
+        assert int(final.sum()) == 317210 and int(steps.sum()) == 805
+        raw = b"".join(np.ascontiguousarray(a).tobytes() for a in (status, final, steps))
+        assert hashlib.sha256(raw).hexdigest()[:16] == "14f26782f132f481"
 
     def test_yaglom_rejects_explosion(self, supercritical, monkeypatch):
         import stopbp.montecarlo as mc
