@@ -494,7 +494,8 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--tol", type=float, help="tolerance for series/route checks")
     sub.add_argument("--seed", type=int, help="master seed for Monte Carlo")
     sub.add_argument("--reps", type=int, help="Monte Carlo trajectories")
-    sub.add_argument("--workers", type=int, help="worker threads")
+    sub.add_argument("--workers", type=int,
+                     help="most threads for Monte Carlo (capped at the usable CPUs)")
     sub.add_argument("--out", help="output path (default stdout)")
 
 

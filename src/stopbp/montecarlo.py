@@ -8,8 +8,10 @@ and estimates are bit-exact reproducible from (seed, reps) alone.
 
 One batched engine, ``_simulate_stopped_batch``, runs every trajectory; the
 conditional-law estimator runs it with an empty stopping set (the free
-process).  ``workers`` splits the trajectory indices into that many
-contiguous ranges, each simulated on its own thread.
+process).  Estimators run the trajectory indices as consecutive chunks of at
+most ``PARTICLE_BUDGET`` starting particles, on up to ``workers`` threads (no
+more than the usable CPUs), so the memory of a request does not grow with
+``reps``.
 
 The engine is type-major: live states form a (k, m) array, one contiguous
 row per type, so totals and stopping tests are k row operations.  In a step,
@@ -24,6 +26,7 @@ and e_p - c_p.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,6 +44,8 @@ from stopbp.model import (
 )
 
 EXPLOSION_LIMIT = 10**7
+# starting particles per chunk of trajectories; bounds a request's arrays
+PARTICLE_BUDGET = 2**18
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -224,15 +229,31 @@ class Estimate:
         return abs(self.value - exact) <= sigmas * self.stderr
 
 
-def _map_workers(fn: Callable[[np.ndarray], object], reps: int, workers: int) -> list:
-    """``fn`` on each of ``workers`` contiguous ranges of indices 0..reps-1,
-    in range order: one range runs in the calling thread, several in a pool."""
-    bounds = np.linspace(0, reps, max(1, workers) + 1, dtype=np.int64)
-    ranges = [np.arange(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-    if len(ranges) == 1:
-        return [fn(ranges[0])]
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return list(pool.map(fn, ranges))
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(
+    fn: Callable[[np.ndarray], object], reps: int, start: PopulationState, workers: int
+) -> list:
+    """``fn`` on consecutive chunks of indices 0..reps-1, in chunk order.
+
+    Chunks start at most ``PARTICLE_BUDGET`` particles each, differ in length
+    by at most one, and come in a multiple of the thread count,
+    min(workers, usable CPUs, reps), so threads get equal shares; one thread
+    runs them in the calling thread, several in a pool."""
+    threads = max(1, min(workers, _usable_cpus(), reps))
+    per = max(1, PARTICLE_BUDGET // start.total)
+    count = threads * -(-reps // (per * threads))
+    bounds = np.linspace(0, reps, count + 1, dtype=np.int64)
+    chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    if threads == 1:
+        return [fn(np.arange(a, b)) for a, b in chunks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda ab: fn(np.arange(*ab)), chunks))
 
 
 def estimate_absorption(
@@ -248,7 +269,7 @@ def estimate_absorption(
     """Fraction of trajectories absorbed at r within t steps.
 
     Bit-exact reproducible from (seed, reps); the worker count only changes
-    how trajectory indices are partitioned, never their outcomes.
+    how many threads run the chunks, never an outcome.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -258,7 +279,7 @@ def estimate_absorption(
         status, final, _ = _simulate_stopped_batch(model, n, stopping, t, seed, indices)
         return int(np.count_nonzero((status == 2) & _stop_mask(final.T, [r])))
 
-    hits = sum(_map_workers(count_hits, reps, workers))
+    hits = sum(_map_chunks(count_hits, reps, n, workers))
     p = hits / reps
     return Estimate(
         value=p, stderr=sqrt(p * (1.0 - p) / reps), reps=reps, seed=seed, hits=hits
@@ -334,11 +355,15 @@ def estimate_yaglom(
                 f"a trajectory exceeded {EXPLOSION_LIMIT} particles by t={t}; "
                 "the conditional law needs a subcritical model"
             )
-        return final[status == 0]
+        return np.unique(final[status == 0], axis=0, return_counts=True)
 
-    alive = np.concatenate(_map_workers(run, reps, workers))
-    uniq, cnt = np.unique(alive, axis=0, return_counts=True)
-    counts = {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}
+    counts: dict[tuple[int, ...], int] = {}
+    for uniq, cnt in _map_chunks(run, reps, start, workers):
+        for row, c in zip(uniq, cnt):
+            key = tuple(int(x) for x in row)
+            counts[key] = counts.get(key, 0) + int(c)
+    counts = dict(sorted(counts.items()))
     return YaglomEstimate(
-        source_type=j, t=t, reps=reps, seed=seed, survivors=len(alive), counts=counts
+        source_type=j, t=t, reps=reps, seed=seed,
+        survivors=sum(counts.values()), counts=counts,
     )

@@ -1,12 +1,15 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import stopbp.montecarlo as mc
 from stopbp.exact_engine import absorb_direct, enumerate_states, one_step_kernel
 from stopbp.genfun import iterate_survival, yaglom
 from stopbp.model import PopulationState, StoppingSet
 from stopbp.montecarlo import (
+    PARTICLE_BUDGET,
     AliasSampler,
     estimate_absorption,
     estimate_yaglom,
@@ -114,7 +117,9 @@ class TestStreamPinned:
     """Exact outputs recorded from the row-major engine that preceded the
     type-major one, at every worker count, and one step against the stream's
     definition: the engine may change its layout and arithmetic, never a
-    stream."""
+    stream.  The estimators also hold at particle budgets of 999 and, from one
+    particle, 27: then 6 to 186 chunks split 20,000 or 5,000 reps into
+    lengths that differ by one."""
 
     @pytest.mark.parametrize("name, n, r, t, seed, hits", [
         ("m1", (1,), (2,), 5, 42, 5970),
@@ -123,13 +128,15 @@ class TestStreamPinned:
         ("k3", (1, 1, 1), (1, 0, 0), 10, 5, 4445),
         ("k3", (2, 0, 1), (0, 1, 1), 10, 6, 2608),
     ])
-    def test_absorption_hits(self, request, name, n, r, t, seed, hits):
+    def test_absorption_hits(self, request, monkeypatch, name, n, r, t, seed, hits):
         model, stopping = request.getfixturevalue(name)
-        for workers in (1, 2, 3):
-            est = estimate_absorption(
-                S(n), S(r), stopping, model, t, 20_000, seed, workers=workers
-            )
-            assert est.hits == hits
+        for budget in (PARTICLE_BUDGET, 999):
+            monkeypatch.setattr(mc, "PARTICLE_BUDGET", budget)
+            for workers in (1, 2, 3):
+                est = estimate_absorption(
+                    S(n), S(r), stopping, model, t, 20_000, seed, workers=workers
+                )
+                assert est.hits == hits
 
     @pytest.mark.parametrize("name, j, t, seed, survivors, counts", [
         ("m1", 1, 5, 3, 151, {(2,): 111, (4,): 32, (6,): 6, (8,): 1, (10,): 1}),
@@ -142,13 +149,16 @@ class TestStreamPinned:
             (2, 1): 13, (3, 0): 1, (3, 1): 4, (4, 0): 7, (4, 1): 1, (5, 0): 1,
             (6, 0): 1}),
     ])
-    def test_yaglom_counts(self, request, name, j, t, seed, survivors, counts):
+    def test_yaglom_counts(self, request, monkeypatch, name, j, t, seed, survivors, counts):
         # the free process: the engine runs with an empty stopping set
         model, _ = request.getfixturevalue(name)
-        for workers in (1, 2, 3):
-            est = estimate_yaglom(j, model, t, 5_000, seed, workers=workers)
-            assert est.survivors == survivors
-            assert est.counts == counts
+        for budget in (PARTICLE_BUDGET, 27, 999):
+            monkeypatch.setattr(mc, "PARTICLE_BUDGET", budget)
+            for workers in (1, 2, 3):
+                est = estimate_yaglom(j, model, t, 5_000, seed, workers=workers)
+                assert est.survivors == survivors
+                assert est.counts == counts
+                assert list(est.counts) == sorted(counts)
 
     @pytest.mark.parametrize("name, rows", [
         # trajectory 0 holds no type-a particle, so its segment starts at 0;
@@ -259,6 +269,61 @@ class TestEstimateAbsorption:
         ]
         assert len({r.value for r in results}) == 1
         assert len({r.hits for r in results}) == 1
+
+    def test_threads_capped_at_usable_cpus(self, m2, monkeypatch):
+        # a fake pool records its size and runs inline: no thread starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        model, stopping = m2
+        want = estimate_absorption(S((0, 2)), S((1, 0)), stopping, model, 10, 20_000, 99)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(mc, "PARTICLE_BUDGET", 999)
+        est = estimate_absorption(
+            S((0, 2)), S((1, 0)), stopping, model, 10, 20_000, 99, workers=10**6
+        )
+        assert est.hits == want.hits
+        cpus = mc._usable_cpus()
+        assert sizes == ([cpus] if cpus > 1 else [])
+        # many CPUs: one chunk per thread, and no more threads than reps
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 64)
+        sizes.clear()
+        for reps, threads in ((20_000, 64), (5, 5)):
+            est = estimate_absorption(
+                S((0, 2)), S((1, 0)), stopping, model, 10, reps, 99, workers=10**6
+            )
+            assert est.hits == estimate_absorption(
+                S((0, 2)), S((1, 0)), stopping, model, 10, reps, 99
+            ).hits
+        assert sizes == [64, 5]
+
+    def test_memory_independent_of_reps(self, m2):
+        # trajectories run in chunks of PARTICLE_BUDGET starting particles, so
+        # 8x the reps costs no more memory; unchunked, the peak grew 8x
+        model, stopping = m2
+
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                estimate_absorption(S((1, 1)), S((1, 0)), stopping, model, 18, reps, 21)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(250_000)
+        assert peak(2_000_000) <= 1.25 * small
 
     def test_invalid_inputs(self, m1):
         model, stopping = m1
