@@ -15,9 +15,21 @@ provided and cross-checked in the test suite:
 * ``absorb_via_restricted`` -- partial sums of first-passage (restricted)
                              transition probabilities.
 
-Every kernel product but the matrix powers of ``compose`` runs through
-``TransitionKernel.forward`` (rows e_n K^l) or ``TransitionKernel.backward``
-(columns K^l C, stopping rows masked for first passage or pinned).
+The state space is one read-only (S, k) count array in graded-lex order.
+An ordinal is the rank of a count vector in the combinatorial number system
+of that order (``StateSpace.ordinals``), so enumeration, the atom shift
+tables and each kernel row's parent are array operations; the tuples of
+``StateSpace.states`` and ``StateSpace.index`` are built only when asked for.
+
+``absorption_table``, behind ``stopbp stop-prob`` and the verify battery,
+computes all three routes from one forward block of rows, multiplied by the
+kernel once per step: the stopped chain and the masked (first-passage) chain
+from each start, the masked chain from each stopping state, and the free
+chain from each start.  The three route functions above keep their own
+propagation, through ``TransitionKernel.forward`` (rows e_n K^l) and
+``TransitionKernel.backward`` (columns K^l C, stopping rows masked for first
+passage or pinned), and serve as its oracles; ``compose`` takes matrix
+powers.
 
 Every start is checked once, by ``check_starts``, which needs only the
 stopping set and the cap, so a bad start fails before a kernel exists.
@@ -35,6 +47,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -76,57 +89,87 @@ class CapacityError(RuntimeError):
 class StateSpace:
     """All population vectors with total <= cap, graded-lex ordered.
 
-    Ordinal ``len(states)`` is the absorbing overflow sentinel.  The zero
-    state always has ordinal 0.
+    ``counts`` holds the vectors as one read-only (n_states, k) integer
+    array in ordinal order; ``states`` and ``index`` are views of it built
+    on first use.  Ordinal ``n_states`` is the absorbing overflow sentinel.
+    The zero state always has ordinal 0.
     """
 
     k: int
     cap: int
-    states: tuple[PopulationState, ...]
-    index: dict[tuple[int, ...], int] = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        # _binom[R, p] = C(R + p, p): compositions of at most R into p parts
+        binom = np.ones((self.cap + 1, self.k + 1), dtype=np.int64)
+        for p in range(1, self.k + 1):
+            binom[:, p] = np.cumsum(binom[:, p - 1])
+        self._binom = binom
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.counts)
 
     @property
     def overflow(self) -> int:
-        return len(self.states)
+        return len(self.counts)
 
     @property
     def size(self) -> int:
         """Number of ordinals including the overflow sentinel."""
-        return len(self.states) + 1
+        return len(self.counts) + 1
+
+    @cached_property
+    def states(self) -> tuple[PopulationState, ...]:
+        return tuple(PopulationState(tuple(row)) for row in self.counts.tolist())
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {tuple(row): i for i, row in enumerate(self.counts.tolist())}
+
+    def ordinals(self, counts) -> np.ndarray:
+        """Ordinals of the count vectors along the last axis of ``counts``,
+        each of which must lie in the space.
+
+        The combinatorial number system of graded-lex order: C(t - 1 + k, k)
+        states have a total below t, and within total t each leading count
+        c_i, with R_i left to place over the p_i = k - 1 - i types after
+        it, passes C(R_i + p_i, p_i) - C(R_i - c_i + p_i, p_i) states.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        binom, k = self._binom, self.k
+        rest = counts.sum(axis=-1)
+        out = np.where(rest > 0, binom[np.maximum(rest - 1, 0), k], 0)
+        for i in range(k - 1):
+            p, c = k - 1 - i, counts[..., i]
+            out += binom[rest, p] - binom[rest - c, p]
+            rest = rest - c
+        return out
 
     def ordinal(self, state: PopulationState) -> int:
-        try:
-            return self.index[state.counts]
-        except KeyError:
-            raise ValueError(f"state {state.label()} not in the capped space") from None
+        if state not in self:
+            raise ValueError(f"state {state.label()} not in the capped space")
+        return int(self.ordinals(state.counts))
 
     def state(self, ordinal: int) -> PopulationState:
-        return self.states[ordinal]
+        return PopulationState(tuple(self.counts[ordinal].tolist()))
 
     def __contains__(self, state: PopulationState) -> bool:
-        return state.counts in self.index
+        return len(state.counts) == self.k and state.total <= self.cap
 
     def states_array(self) -> np.ndarray:
-        """(n_states, k) integer array of count vectors."""
-        return np.array([s.counts for s in self.states], dtype=np.int64)
-
-
-def _compositions(total: int, k: int):
-    """All k-part compositions of ``total``, lexicographically ascending."""
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
+        """(n_states, k) integer array of count vectors, read-only."""
+        return self.counts
 
 
 def enumerate_states(k: int, cap: int, limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
-    """Enumerate every state with total <= cap in graded-lex order."""
+    """Enumerate every state with total <= cap in graded-lex order.
+
+    Graded-lex order is the lexicographic order of (total, c_1, ..., c_(k-1)),
+    with c_k the remainder, so the array is built a column at a time: each
+    row is repeated once per value 0..R of the next count, R the total it
+    still has to place.
+    """
     if k < 1:
         raise ValueError("need at least one type")
     if cap < 0:
@@ -137,12 +180,16 @@ def enumerate_states(k: int, cap: int, limit: int = DEFAULT_STATE_LIMIT) -> Stat
             f"{count} states for k={k}, cap={cap} exceeds the limit {limit}: "
             f"the dense kernel would take {(count + 1) ** 2 * 8} bytes"
         )
-    states = []
-    for total in range(cap + 1):
-        for counts in _compositions(total, k):
-            states.append(PopulationState(counts))
-    index = {s.counts: i for i, s in enumerate(states)}
-    return StateSpace(k=k, cap=cap, states=tuple(states), index=index)
+    rest = np.arange(cap + 1, dtype=np.int64)  # per row: total left to place
+    columns = []
+    for _ in range(k - 1):
+        reps = rest + 1
+        value = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+        columns = [np.repeat(c, reps) for c in columns] + [value]
+        rest = np.repeat(rest, reps) - value
+    counts = np.column_stack(columns + [rest])
+    counts.flags.writeable = False
+    return StateSpace(k=k, cap=cap, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +258,21 @@ class TransitionKernel:
 
 
 def _atom_shift_tables(model: BranchingModel, space: StateSpace):
-    """Per type: (probabilities, ordinal-shift array per atom).
+    """Per type: (probability, ordinal-shift array) per atom.
 
     ``shift[s]`` is the ordinal reached from ordinal s when one extra
     offspring vector is added; totals beyond the cap land on the overflow
-    sentinel, and overflow maps to itself.
+    sentinel, and overflow maps to itself.  In graded-lex order the states
+    that stay inside the cap come first: those with total <= cap - |atom|.
     """
-    size = space.size
-    overflow = space.overflow
     tables = []
     for law in model.laws:
         per_atom = []
         for state, p in law.atoms:
-            shift = np.empty(size, dtype=np.int64)
-            shift[overflow] = overflow
-            for ordinal, src in enumerate(space.states):
-                target = tuple(a + b for a, b in zip(src.counts, state.counts))
-                if sum(target) <= space.cap:
-                    shift[ordinal] = space.index[target]
-                else:
-                    shift[ordinal] = overflow
+            room = space.cap - state.total
+            inside = math.comb(room + space.k, space.k) if room >= 0 else 0
+            shift = np.full(space.size, space.overflow, dtype=np.int64)
+            shift[:inside] = space.ordinals(space.counts[:inside] + state.counts)
             per_atom.append((p, shift))
         tables.append(per_atom)
     return tables
@@ -240,27 +282,31 @@ def one_step_kernel(model: BranchingModel, space: StateSpace) -> TransitionKerne
     """Single-generation kernel: each particle draws offspring independently.
 
     The row for a state is built from the row of the state with one particle
-    removed, convolved with that particle's offspring law; partial sums that
-    leave the cap are routed to the overflow sentinel (exact, since counts
-    only accumulate).
+    of its first present type removed, convolved with that particle's
+    offspring law: one ``bincount`` of the shifted parent row per atom,
+    summed in atom order.  Partial sums that leave the cap are routed to the
+    overflow sentinel (exact, since counts only accumulate).  Parents and
+    types come from one rank of the whole state array.
     """
     if model.k != space.k:
         raise ValueError(f"model has {model.k} types, space has {space.k}")
     size = space.size
     tables = _atom_shift_tables(model, space)
+    counts = space.counts
+    first = np.argmax(counts > 0, axis=1)  # first present type; 0 for the zero state
+    parents = counts.copy()
+    parents[np.arange(len(counts)), first] -= 1
+    parent = space.ordinals(parents).tolist()
     matrix = np.zeros((size, size))
     matrix[0, 0] = 1.0  # extinction is absorbing
     matrix[space.overflow, space.overflow] = 1.0
-    for ordinal in range(1, space.n_states):
-        counts = space.states[ordinal].counts
-        i = next(idx for idx, c in enumerate(counts) if c > 0)
-        parent = list(counts)
-        parent[i] -= 1
-        base = matrix[space.index[tuple(parent)]]
-        row = np.zeros(size)
-        for p, shift in tables[i]:
-            row += np.bincount(shift, weights=base * p, minlength=size)
-        matrix[ordinal] = row
+    weights = np.empty(size)
+    for ordinal, i in enumerate(first[1:].tolist(), 1):
+        base, row = matrix[parent[ordinal]], matrix[ordinal]
+        (p, shift), *rest = tables[i]
+        row[:] = np.bincount(shift, weights=np.multiply(base, p, out=weights), minlength=size)
+        for p, shift in rest:
+            row += np.bincount(shift, weights=np.multiply(base, p, out=weights), minlength=size)
     return TransitionKernel(space=space, t=1, matrix=matrix)
 
 
@@ -356,7 +402,7 @@ class RestrictedKernel:
         )
 
 
-def _stopping_ordinals(space: StateSpace, stopping: StoppingSet) -> list[int]:
+def _stopping_ordinals(space: StateSpace, stopping: Iterable[PopulationState]) -> list[int]:
     ordinals = []
     for member in stopping:
         if member not in space:
@@ -625,13 +671,16 @@ def _formula_row(
     for l, v in enumerate(kernel.forward(n, t_max), 1):
         hits[l] = v[ordinals]
         overflow[l] = v[space.overflow]
-    out = []
-    for t in t_list:
-        q = 0.0
-        for l in range(1, t + 1):
-            q += float(np.dot(c[:, t - l], hits[l]))  # c(t, l) = c(t - l + 1, 1)
-        out.append((q, float(overflow[t])))
-    return out
+    return [(_formula_sum(c, hits, t), float(overflow[t])) for t in t_list]
+
+
+def _formula_sum(c: np.ndarray, hits: np.ndarray, t: int) -> float:
+    """sum over l <= t of c(t, l) . hits[l], with c[:, u] = c(u + 1, 1) for
+    one target and hits[l] = P_n(Z_l = alpha) over the stopping states."""
+    q = 0.0
+    for l in range(1, t + 1):
+        q += float(np.dot(c[:, t - l], hits[l]))  # c(t, l) = c(t - l + 1, 1)
+    return q
 
 
 @dataclass(eq=False)
@@ -800,29 +849,57 @@ def absorption_table(
     r: PopulationState,
     t_list: Sequence[int],
 ) -> AbsorptionTable:
-    """Tabulate q(n -> r, t) by all three routes, sharing the heavy work.
+    """Tabulate q(n -> r, t) by all three routes from one forward block.
 
-    The direct and restricted routes read one backward table each; the
-    formula route runs one forward row per start, whose overflow-sentinel
-    entry at t fills the overflow bound column: the free-chain mass that
-    has left the capped space by time t (an upper bound on what truncation
-    can cost any of the routes).
+    Each step multiplies one block of rows by the kernel, V <- V K:
+    * the stopped chain from each start n: the stopping columns are taken
+      out before the product and added back after it, so that mass stays;
+      the direct route reads column r;
+    * the masked chain from each start n: the stopping columns are zeroed
+      before every product but the first, so row l holds the first passages
+      at step l; the restricted route sums column r;
+    * the masked chain from each stopping state alpha: its stopping columns
+      are the first-passage table of the stop coefficients;
+    * the free chain from each start n: its stopping columns are the hits of
+      the formula route, and its overflow entry at t fills the overflow bound
+      column, the free-chain mass that has left the capped space by time t
+      (an upper bound on what truncation can cost any of the routes).
     """
     n_list = list(n_list)
     space = kernel.space
     check_starts(stopping, n_list, r, space.cap)
     t_max = max(t_list)
-    restricted = restricted_kernel(kernel, stopping, t_max)
-    coeffs = stop_coefficients(restricted)
-    direct = stopped_hitting_column(kernel, stopping, r, t_max)
-    r_idx = restricted.column_index(r)
+    members = stopping.sorted_members()
+    stops = _stopping_ordinals(space, members)
+    j = members.index(r)
+    n, m = len(n_list), len(members)
+    starts = [space.ordinal(x) for x in n_list]
+    free = 2 * n + m  # rows: stopped n | masked n | masked alpha | free n
+    block = np.zeros((free + n, space.size))
+    block[range(free + n), starts + starts + stops + starts] = 1.0
+    target = space.ordinal(r)
+    direct = np.zeros((t_max + 1, n))
+    passage = np.zeros((t_max + 1, n + m, m))  # first passages into S at step l
+    hits = np.zeros((t_max + 1, n, m))
+    overflow = np.zeros((t_max + 1, n))
+    for l in range(1, t_max + 1):
+        held = block[:n, stops]
+        block[: free if l > 1 else n, stops] = 0.0
+        block = block @ kernel.matrix
+        block[:n, stops] += held
+        direct[l] = block[:n, target]
+        passage[l] = block[n:free, stops]
+        hits[l] = block[free:, stops]
+        overflow[l] = block[free:, space.overflow]
+    restricted = np.cumsum(passage[:, :n, j], axis=0)
+    # c[alpha, u] = c(u + 1, 1) for target r: 1{alpha = r} minus first
+    # passages alpha -> r in at most u steps
+    c = np.eye(m)[:, j, None] - np.cumsum(passage[:t_max, n:, j], axis=0).T
     table = AbsorptionTable()
-    for n in n_list:
-        s = space.ordinal(n)
-        formula = _formula_row(kernel, coeffs, n, r, t_list)
-        for t, (q, bound) in zip(t_list, formula):
-            table.add(n, r, t, "direct", float(direct[t, s]), bound)
-            table.add(n, r, t, "formula", q, bound)
-            table.add(n, r, t, "restricted",
-                      float(restricted.values[:t, s, r_idx].sum()), bound)
+    for i, x in enumerate(n_list):
+        for t in t_list:
+            bound = float(overflow[t, i])
+            table.add(x, r, t, "direct", float(direct[t, i]), bound)
+            table.add(x, r, t, "formula", _formula_sum(c, hits[:, i], t), bound)
+            table.add(x, r, t, "restricted", float(restricted[t, i]), bound)
     return table

@@ -145,7 +145,7 @@ def truncated_laws(model: BranchingModel, space, counts, steps: int):
     states = space.states_array()
     # truncated products: pairs (a, b) with a + b in the space, grouped by a + b
     a, b = np.nonzero(states.sum(1)[:, None] + states.sum(1)[None, :] <= cap)
-    c = np.array([space.index[tuple(x)] for x in states[a] + states[b]], dtype=np.int64)
+    c = space.ordinals(states[a] + states[b])
     order = np.argsort(c, kind="stable")
     a, b, groups = a[order], b[order], np.searchsorted(c[order], np.arange(size))
 
@@ -170,7 +170,7 @@ def truncated_laws(model: BranchingModel, space, counts, steps: int):
     r = np.ones(k)  # F_0^(i)(s) = s_i: r = 1, v = s_i
     v = np.zeros((k, size))
     if cap:
-        v[range(k), [space.index[unit_state(i + 1, k).counts] for i in range(k)]] = 1.0
+        v[range(k), space.ordinals(np.eye(k, dtype=np.int64))] = 1.0
     for l in range(steps + 1):
         vpow = [np.eye(1, size).repeat(k, 0)]
         for _ in range(cap):

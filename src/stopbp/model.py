@@ -47,10 +47,15 @@ class PopulationState:
 
     def label(self) -> str:
         """Bracketed comma-joined form, e.g. ``[2,0]``."""
-        return "[" + ",".join(str(c) for c in self.counts) + "]"
+        return counts_label(self.counts)
 
     def __len__(self) -> int:
         return len(self.counts)
+
+
+def counts_label(counts) -> str:
+    """``PopulationState.label`` of a plain count sequence."""
+    return "[" + ",".join(str(c) for c in counts) + "]"
 
 
 def zero_state(k: int) -> PopulationState:

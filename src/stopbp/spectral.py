@@ -232,15 +232,17 @@ def perron_triple(moment_data: MomentData) -> SpectralSummary:
 
 
 def require_subcritical(summary: SpectralSummary, what: str) -> float:
-    """The Perron root delta of ``summary``, if it is below 1.
+    """The Perron root delta of ``summary``, if ``classify`` calls the model
+    subcritical (delta below 1 - ``CRITICAL_BAND``).
 
-    The one subcriticality gate: raises ``OutsideTheoremError`` naming
-    ``what`` needs the model otherwise.
+    The one subcriticality gate, on the verdict ``stopbp classify`` prints:
+    raises ``OutsideTheoremError`` naming ``what`` needs the model otherwise.
     """
     delta = summary.delta
-    if not delta < 1.0:
+    if summary.criticality != "subcritical":
         raise OutsideTheoremError(
-            f"{what} needs a subcritical model (delta={delta:.6g} >= 1)"
+            f"{what} needs a subcritical model (delta={delta:.6g}, "
+            f"classified {summary.criticality})"
         )
     return delta
 

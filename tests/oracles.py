@@ -1,13 +1,19 @@
 """Brute-force oracles, independent of the engine under test.
 
-Everything here enumerates particle-by-particle offspring combinations as
-plain dictionaries over count tuples.  Exponential in population size and
-horizon; only usable for tiny cases, which is the point: these values come
-from a completely different computation path than the kernels.
+Everything here works on plain dictionaries and lists over count tuples.
+The distribution oracles enumerate particle-by-particle offspring
+combinations; they are exponential in population size and horizon, so only
+usable for tiny cases, which is the point: these values come from a
+completely different computation path than the kernels.  The state-space
+oracles enumerate states by recursion and build the dense kernel state by
+state with dictionary lookups: the reference the engine's array-ranked
+kernel must match bit for bit.
 """
 
 from collections import defaultdict
 from itertools import product
+
+import numpy as np
 
 
 def law_atoms(model, type_index):
@@ -111,6 +117,59 @@ def first_passage_probability(model, start_counts, stopping_counts, target_count
             return new.get(target, 0.0)
         dist = {c: p for c, p in new.items() if c not in stop}
     raise AssertionError("unreachable")
+
+
+def graded_lex_states(k, cap):
+    """Every count tuple with total <= cap, by total and then
+    lexicographically, built by plain recursion over compositions."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            return [(total,)]
+        return [(first,) + rest for first in range(total + 1)
+                for rest in compositions(total - first, parts - 1)]
+
+    return [c for total in range(cap + 1) for c in compositions(total, k)]
+
+
+def kernel_by_states(model, k, cap):
+    """The dense one-step kernel on the capped space, built state by state.
+
+    The per-state builder: ordinals from a dictionary over
+    ``graded_lex_states``, one shift table per atom by tuple addition, and
+    each row from the row of the state with one particle of its first
+    present type removed, one ``np.bincount`` per atom, in atom order.
+    Returns the (S + 1, S + 1) matrix, the overflow sentinel last.
+    """
+    states = graded_lex_states(k, cap)
+    index = {c: i for i, c in enumerate(states)}
+    overflow = len(states)
+    size = overflow + 1
+    tables = []
+    for i in range(k):
+        per_atom = []
+        for child, p in law_atoms(model, i):
+            shift = np.full(size, overflow, dtype=np.int64)
+            for ordinal, counts in enumerate(states):
+                target = tuple(a + b for a, b in zip(counts, child))
+                if sum(target) <= cap:
+                    shift[ordinal] = index[target]
+            per_atom.append((p, shift))
+        tables.append(per_atom)
+    matrix = np.zeros((size, size))
+    matrix[0, 0] = 1.0
+    matrix[overflow, overflow] = 1.0
+    for ordinal in range(1, len(states)):
+        counts = states[ordinal]
+        i = next(idx for idx, c in enumerate(counts) if c > 0)
+        parent = list(counts)
+        parent[i] -= 1
+        base = matrix[index[tuple(parent)]]
+        row = np.zeros(size)
+        for p, shift in tables[i]:
+            row += np.bincount(shift, weights=base * p, minlength=size)
+        matrix[ordinal] = row
+    return matrix
 
 
 def mp_absorption(model_text, start, target, steps, dps=50):

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from stopbp import cli, exact_engine, spectral
 from stopbp.builtin_models import M1_TEXT, M2_TEXT
 from stopbp.cli import main
+from stopbp.model import load_model
 
 SUPER_TEXT = """\
 {
@@ -69,6 +73,42 @@ DEFECTIVE_TEXT = """\
   "stopping_set": [[1, 0]]
 }
 """
+
+
+# one type, mean 0.9999: subcritical, but a series to tol 1e-9 from [1]
+# needs more than MAX_SERIES_TERMS terms
+NEAR_CRITICAL_TEXT = """\
+{
+  "version": 1,
+  "types": ["a"],
+  "offspring": [
+    [{"counts": [0], "p": 0.5}, {"counts": [1], "p": 0.0001}, {"counts": [2], "p": 0.4999}]
+  ],
+  "stopping_set": [[2]]
+}
+"""
+
+# one type, mean 0.1 + 3 * 0.3 = 1, computed as 0.9999999999999999:
+# below 1, but inside the critical band
+MEAN_ONE_TEXT = """\
+{
+  "version": 1,
+  "types": ["a"],
+  "offspring": [
+    [{"counts": [0], "p": 0.6}, {"counts": [1], "p": 0.1}, {"counts": [3], "p": 0.3}]
+  ],
+  "stopping_set": [[2]]
+}
+"""
+
+
+def run_cli(*argv):
+    """``python -m stopbp`` in a fresh process: (exit code, stderr lines)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, BP_LOG="info")
+    proc = subprocess.run([sys.executable, "-m", "stopbp", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    return proc.returncode, proc.stderr.splitlines()
 
 
 @pytest.fixture()
@@ -232,6 +272,41 @@ class TestOutsideTheorem:
         path = tmp_path / "model.json"
         path.write_text(text)
         assert main([command, "--model", str(path), *self.ARGS[command]]) == 1
+
+
+class TestNumericalLimits:
+    """A series beyond its term budget and a model inside the critical band
+    leave through ``cli.main`` with exit 1 and one error line."""
+
+    def test_series_beyond_term_budget_exit_1(self, tmp_path):
+        path = tmp_path / "near.json"
+        path.write_text(NEAR_CRITICAL_TEXT)
+        code, err = run_cli("series", "--model", str(path), "--n", "[1]", "--r", "[2]")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("ERROR series did not meet tol")
+        assert "Traceback" not in "\n".join(err)
+
+    def test_mean_one_classified_critical(self, tmp_path):
+        path = tmp_path / "mean1.json"
+        path.write_text(MEAN_ONE_TEXT)
+        model, _ = load_model(MEAN_ONE_TEXT)
+        summary = spectral.classify(spectral.moments(model))
+        assert summary.delta < 1.0 and summary.criticality == "critical"
+        assert main(["classify", "--model", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["series", "probe", "yaglom"])
+    def test_mean_one_refused(self, tmp_path, command):
+        path = tmp_path / "mean1.json"
+        path.write_text(MEAN_ONE_TEXT)
+        args = {
+            "series": ["--n", "[1]", "--r", "[2]"],
+            "probe": ["--r", "[2]", "--n-grid", "10:20:2"],
+            "yaglom": ["--j", "1", "--t", "10", "--cap", "40"],
+        }[command]
+        code, err = run_cli(command, "--model", str(path), *args)
+        assert code == 1
+        assert len(err) == 1 and "needs a subcritical model" in err[0]
+        assert "classified critical" in err[0]
 
 
 class TestSeries:

@@ -37,6 +37,8 @@ from stopbp.spectral import moments, perron_triple
 from oracles import (
     first_passage_probability,
     free_distribution,
+    graded_lex_states,
+    kernel_by_states,
     mp_absorption,
     stopped_distribution,
 )
@@ -85,7 +87,51 @@ class TestEnumerateStates:
             enumerate_states(2, 1000)
 
 
+RANK_CASES = [(1, 40), (2, 20), (3, 10), (4, 7)]
+
+
+class TestStateSpaceRank:
+    @pytest.mark.parametrize("k, cap", RANK_CASES)
+    def test_order_matches_recursive_reference(self, k, cap):
+        space = enumerate_states(k, cap)
+        reference = graded_lex_states(k, cap)
+        assert space.states_array().tolist() == [list(c) for c in reference]
+        assert [s.counts for s in space.states] == reference
+        assert space.index == {c: i for i, c in enumerate(reference)}
+
+    @pytest.mark.parametrize("k, cap", RANK_CASES)
+    def test_ordinal_rank_round_trip(self, k, cap):
+        space = enumerate_states(k, cap)
+        reference = graded_lex_states(k, cap)
+        ordinals = np.arange(len(reference))
+        assert np.array_equal(space.ordinals(np.array(reference)), ordinals)
+        for i, counts in enumerate(reference):
+            assert space.ordinal(S(counts)) == i
+            assert space.state(i) == S(counts)
+
+    def test_states_outside_rejected(self):
+        space = enumerate_states(2, 4)
+        for state in (S((5, 0)), S((2, 3)), S((1, 1, 1)), S((1,))):
+            assert state not in space
+            with pytest.raises(ValueError, match="not in the capped space"):
+                space.ordinal(state)
+        assert S((0, 4)) in space
+
+    def test_states_array_read_only(self):
+        space = enumerate_states(3, 5)
+        assert space.states_array() is space.states_array()
+        with pytest.raises(ValueError):
+            space.states_array()[1, 0] = 7
+
+
 class TestOneStepKernel:
+    @pytest.mark.parametrize("name, cap", [("m1", 400), ("m2", 12), ("m2", 40), ("m2", 70),
+                                           ("k3", 15)])
+    def test_bit_identical_to_per_state_builder(self, request, name, cap):
+        model, _ = request.getfixturevalue(name)
+        kernel = one_step_kernel(model, enumerate_states(model.k, cap))
+        assert np.array_equal(kernel.matrix, kernel_by_states(model, model.k, cap))
+
     def test_m1_unit_row_is_the_law(self, m1):
         model, _ = m1
         space = enumerate_states(1, 6)
@@ -623,3 +669,46 @@ class TestAbsorptionTable:
         for values in by_key.values():
             assert abs(values["direct"] - values["formula"]) <= 1e-10
             assert abs(values["direct"] - values["restricted"]) <= 1e-12
+
+
+def assert_table_matches_routes(model, stopping, cap, t_list=(1, 4, 8), n_starts=24):
+    """Every row of ``absorption_table`` against the route function that
+    propagates on its own (``absorb_direct``, ``absorb_via_formula``,
+    ``absorb_via_restricted``), and its overflow bound against the free
+    chain's overflow mass, within 1e-13, for every target in S."""
+    space = enumerate_states(model.k, cap)
+    kernel = one_step_kernel(model, space)
+    starts = [space.state(i) for i in range(1, space.n_states)]
+    starts = [n for n in starts if n not in stopping][:n_starts]
+    assert len(starts) >= 20
+    restricted = restricted_kernel(kernel, stopping, max(t_list))
+    coefficients = stop_coefficients(restricted)
+    for r in stopping.sorted_members():
+        rows = iter(absorption_table(kernel, stopping, starts, r, list(t_list)).rows)
+        for n in starts:
+            for t in t_list:
+                want = {
+                    "direct": absorb_direct(kernel, stopping, n, r, t),
+                    "formula": absorb_via_formula(kernel, coefficients, n, r, t),
+                    "restricted": absorb_via_restricted(restricted, n, r, t),
+                }
+                overflow = distribution_after(kernel, n, t)[space.overflow]
+                for method in ("direct", "formula", "restricted"):
+                    row = next(rows)
+                    assert (row.n, row.r, row.t, row.method) == (n, r, t, method)
+                    assert abs(row.q - want[method]) <= 1e-13
+                    assert abs(row.overflow_bound - overflow) <= 1e-13
+        assert next(rows, None) is None
+
+
+class TestAbsorptionTableBlock:
+    @pytest.mark.parametrize("name, cap", [("m1", 40), ("m2", 12), ("k3", 8)])
+    def test_matches_route_functions(self, request, name, cap):
+        model, stopping = request.getfixturevalue(name)
+        assert_table_matches_routes(model, stopping, cap)
+
+    def test_overflow_bound_nonzero_at_small_cap(self, m2):
+        # at cap 6 mass leaves the space within 8 steps, so the bound column
+        # is exercised away from zero
+        model, stopping = m2
+        assert_table_matches_routes(model, stopping, 6)

@@ -21,7 +21,8 @@ from stopbp.exact_engine import (
 from stopbp.model import BranchingModel, OffspringLaw, PopulationState, StoppingSet
 from stopbp.spectral import classify, moments
 
-from test_exact_engine import assert_matches_dense
+from oracles import kernel_by_states
+from test_exact_engine import assert_matches_dense, assert_table_matches_routes
 
 
 def random_model(seed: int, k: int = 2, max_children: int = 2) -> BranchingModel:
@@ -124,3 +125,17 @@ def test_series_matches_dense_random_model(seed):
     assert classify(moments(model)).period == 1, "seeds are chosen primitive"
     stopping = StoppingSet(frozenset({PopulationState((1, 0)), PopulationState((1, 1))}))
     assert_matches_dense(model, stopping, 30, [(0, 1), (0, 2), (2, 2), (5, 3)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kernel_bit_identical_random_model(seed):
+    model = random_model(seed)
+    kernel = one_step_kernel(model, enumerate_states(2, 14))
+    assert np.array_equal(kernel.matrix, kernel_by_states(model, 2, 14))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_absorption_table_random_model(seed):
+    model = random_model(seed)
+    stopping = StoppingSet(frozenset({PopulationState((1, 0)), PopulationState((1, 1))}))
+    assert_table_matches_routes(model, stopping, 10)

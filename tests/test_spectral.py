@@ -227,6 +227,15 @@ class TestPerronTriple:
         with pytest.raises(OutsideTheoremError):
             require_subcritical(perron_triple(moments(model)), "test")
 
+    def test_gate_follows_classify_verdict(self):
+        # mean 0.1 + 3 * 0.3 computes to 0.9999999999999999: below 1, but
+        # classify calls it critical, so the gate must refuse it too
+        model = BranchingModel(("a",), (law(((0,), 0.6), ((1,), 0.1), ((3,), 0.3)),))
+        summary = perron_triple(moments(model))
+        assert summary.delta < 1.0 and summary.criticality == "critical"
+        with pytest.raises(OutsideTheoremError, match="classified critical"):
+            require_subcritical(summary, "test")
+
     def test_equal_column_sums(self):
         # A = [[0.2, 0.1], [0.3, 0.4]] has equal column sums, so nu is uniform
         # and every eigenvalue estimate sum(A x) / sum(x) is exact from the
