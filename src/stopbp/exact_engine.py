@@ -877,24 +877,21 @@ def absorption_table(
     free = 2 * n + m  # rows: stopped n | masked n | masked alpha | free n
     block = np.zeros((free + n, space.size))
     block[range(free + n), starts + starts + stops + starts] = 1.0
-    target = space.ordinal(r)
-    direct = np.zeros((t_max + 1, n))
-    passage = np.zeros((t_max + 1, n + m, m))  # first passages into S at step l
-    hits = np.zeros((t_max + 1, n, m))
-    overflow = np.zeros((t_max + 1, n))
+    cols = np.array(stops + [space.overflow])
+    in_s = cols[:m]
+    seen = np.zeros((t_max + 1, free + n, m + 1))  # seen[l] = block[:, cols] after step l
     for l in range(1, t_max + 1):
-        held = block[:n, stops]
-        block[: free if l > 1 else n, stops] = 0.0
+        held = block[:n, in_s]
+        block[: free if l > 1 else n, in_s] = 0.0
         block = block @ kernel.matrix
-        block[:n, stops] += held
-        direct[l] = block[:n, target]
-        passage[l] = block[n:free, stops]
-        hits[l] = block[free:, stops]
-        overflow[l] = block[free:, space.overflow]
-    restricted = np.cumsum(passage[:, :n, j], axis=0)
+        block[:n, in_s] += held
+        seen[l] = block[:, cols]
+    direct = seen[:, :n, j]
+    restricted = np.cumsum(seen[:, n: 2 * n, j], axis=0)
+    hits, overflow = seen[:, free:, :m], seen[:, free:, m]
     # c[alpha, u] = c(u + 1, 1) for target r: 1{alpha = r} minus first
     # passages alpha -> r in at most u steps
-    c = np.eye(m)[:, j, None] - np.cumsum(passage[:t_max, n:, j], axis=0).T
+    c = np.eye(m)[:, j, None] - np.cumsum(seen[:t_max, 2 * n: free, j], axis=0).T
     table = AbsorptionTable()
     for i, x in enumerate(n_list):
         for t in t_list:
