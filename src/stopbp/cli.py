@@ -3,9 +3,8 @@
 Subcommand style; every run is deterministic given its flags and seed.
 Exit codes: 0 success, 1 mathematical check failure, including a model
 outside the theorem where its hypotheses are needed (decomposable, periodic
-or not subcritical: ``spectral.OutsideTheoremError``), a Perron solve that
-does not converge (``spectral.ConvergenceError``) and a numerical limit, such
-as a series that needs more than ``exact_engine.MAX_SERIES_TERMS`` terms
+or not subcritical: ``spectral.OutsideTheoremError``) and a numerical limit,
+such as a series that needs more than ``exact_engine.MAX_SERIES_TERMS`` terms
 (``ArithmeticError``); 2 usage or input failure, including a cap too small
 or too large for the run (``CapacityError``).  Set BP_LOG=debug|info|warning for verbosity.
 """
@@ -568,7 +567,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ModelFormatError, ModelValidationError) as exc:
         log.error("model: %s", exc)
         return EXIT_USAGE
-    except (spectral.OutsideTheoremError, spectral.ConvergenceError, ArithmeticError) as exc:
+    except (spectral.OutsideTheoremError, ArithmeticError) as exc:
         log.error("%s", exc)
         return EXIT_MATH
     except (exact_engine.CapacityError, ValueError) as exc:  # UsageError is a ValueError

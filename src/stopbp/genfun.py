@@ -10,7 +10,7 @@ even when many orders of magnitude below machine epsilon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,29 +102,35 @@ class GenFunEvaluation:
     """Value of the t-step generating map with its survival companions.
 
     ``h`` comes from plain t-fold composition; ``R`` = 1 - h(t, s) and
-    ``Q`` = 1 - h(t, 0) are iterated in survival form, so R and 1 - h agree
-    only up to accumulated rounding once survival drops near epsilon.
+    ``Q`` = 1 - h(t, 0) are iterated in survival form on first read, so R
+    and 1 - h agree only up to accumulated rounding once survival drops near
+    epsilon.
     """
 
+    model: BranchingModel
     t: int
     s: np.ndarray
     h: np.ndarray
-    R: np.ndarray
-    Q: np.ndarray
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return iterate_survival(self.model, self.t, s=self.s)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return iterate_survival(self.model, self.t, r0=np.ones(self.model.k))
 
 
 def iterate_h(model: BranchingModel, t: int, s) -> GenFunEvaluation:
     """t-fold composition of the generating map, plus survival vectors."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    s = np.asarray(s, dtype=float)
+    s = np.array(s, dtype=float)  # a copy: R is iterated from it on first read
     _check_unit_box(s, model.k)
     h = s.copy()
     for _ in range(t):
         h = eval_h(model, h)
-    R = iterate_survival(model, t, s=s)
-    Q = iterate_survival(model, t, r0=np.ones(model.k))
-    return GenFunEvaluation(t=t, s=s, h=h, R=R, Q=Q)
+    return GenFunEvaluation(model=model, t=t, s=s, h=h)
 
 
 def truncated_laws(model: BranchingModel, space, counts, steps: int):

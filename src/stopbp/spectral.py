@@ -1,10 +1,10 @@
 """Factorial moments and Perron spectral analysis of branching models.
 
 The first-moment matrix A has entry (i, j) equal to the expected number of
-type-j offspring of a single type-i particle.  One shifted power
-iteration yields the Perron root delta and, for an indecomposable aperiodic
-model, its positive right eigenvector f and positive left eigenvector nu,
-normalized so that nu sums to 1 and sum_i f_i nu_i = 1.  Every computation
+type-j offspring of a single type-i particle.  One eigendecomposition of A
+and one of A^T yield the Perron root delta and, for an indecomposable
+aperiodic model, its positive right eigenvector f and positive left
+eigenvector nu, normalized so that nu sums to 1 and sum_i f_i nu_i = 1.  Every computation
 that needs the theorem's hypotheses asks ``perron_triple`` (indecomposable,
 aperiodic) and ``require_subcritical``; both raise ``OutsideTheoremError``.
 """
@@ -21,12 +21,6 @@ from stopbp.model import BranchingModel
 
 EDGE_TOL = 1e-12
 CRITICAL_BAND = 1e-9
-PERRON_TOL = 4e-15  # residual stop test of the power iteration, about 18 ulp
-MAX_ITER = 200_000
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration failed to reach the requested tolerance."""
 
 
 class OutsideTheoremError(ValueError):
@@ -111,28 +105,20 @@ def graph_period(A: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# power iteration
+# Perron eigenpair
 
 
-def _power_iteration(M: np.ndarray):
-    """Dominant eigenvalue and nonnegative eigenvector of a nonnegative matrix.
+def _perron_vector(M: np.ndarray):
+    """Perron root and nonnegative eigenvector of a nonnegative matrix.
 
-    Stops on the residual: x and its normalized image y / sum(y), y = M x,
-    differ by (y - lam x) / lam, so they agree within ``PERRON_TOL`` of the
-    largest entry only once x is an eigenvector to that precision.  A test on
-    successive eigenvalue estimates alone is blind to the part of x along
-    eigenvectors whose entries sum to zero: when all columns of M have equal
-    sums, every estimate is exact while x is still far off.
+    By Perron-Frobenius the spectral radius of M is itself an eigenvalue, so
+    it is the eigenvalue of largest real part; its eigenvector is returned in
+    absolute value, scaled to sum 1.
     """
-    x = np.ones(M.shape[0]) / M.shape[0]
-    for _ in range(MAX_ITER):
-        y = M @ x
-        norm = y.sum()
-        x_new = y / norm
-        if (abs(x_new - x) <= PERRON_TOL * x_new.max()).all():
-            return float(norm / x.sum()), x_new
-        x = x_new
-    raise ConvergenceError(f"power iteration did not converge in {MAX_ITER} steps")
+    values, vectors = np.linalg.eig(M)
+    i = int(np.argmax(values.real))
+    x = np.abs(vectors[:, i])
+    return float(values[i].real), x / x.sum()
 
 
 @dataclass(eq=False)
@@ -172,11 +158,8 @@ class SpectralSummary:
 def classify(moment_data: MomentData) -> SpectralSummary:
     """The one spectral analysis of a mean matrix A.
 
-    Power iteration runs on A + I for the right vector f and on A^T + I for
-    the left vector nu.  The shift moves every eigenvalue by one without
-    touching the eigenvectors, and makes an irreducible A primitive, so the
-    iteration converges for periodic matrices and for a second eigenvalue
-    close to -delta.  For an indecomposable aperiodic A, nu is scaled
+    One eigendecomposition of A gives the right vector f, one of A^T the
+    left vector nu.  For an indecomposable aperiodic A, nu is scaled
     to sum to 1, then f so that sum_i f_i nu_i = 1, and delta is the
     generalized Rayleigh quotient nu A f / nu f, whose error is second order
     in the vector errors.  ``boundary`` labels the degenerate case where delta
@@ -186,10 +169,9 @@ def classify(moment_data: MomentData) -> SpectralSummary:
     A = np.asarray(moment_data.A, dtype=float)
     indecomposable = is_strongly_connected(A)
     period = graph_period(A) if indecomposable else None
-    eye = np.eye(A.shape[0])
-    shifted, f = _power_iteration(A + eye)
-    _, nu = _power_iteration(A.T + eye)
-    delta = max(shifted - 1.0, 0.0)
+    root, f = _perron_vector(A)
+    _, nu = _perron_vector(A.T)
+    delta = max(root, 0.0)
     perron = {}
     if period == 1:
         nu = nu / nu.sum()
@@ -281,43 +263,56 @@ class SurvivalConstant:
         return float(self.estimates[-1])
 
 
+def _survival_constants(
+    model: BranchingModel, l_max: int, delta: float
+) -> list[SurvivalConstant]:
+    """Estimates for every starting type from one survival-form pass.
+
+    Survival probabilities are iterated in survival form (never forming
+    1 - h directly), so the estimates stay accurate even when the survival
+    probability underflows far below machine epsilon relative to 1.  The
+    pass iterates the whole survival vector, so one pass serves all types.
+    """
+    from stopbp import genfun
+
+    r = np.ones(model.k)
+    estimates = np.empty((model.k, l_max))
+    survivals = np.empty((model.k, l_max))
+    scale = 1.0
+    for l in range(l_max):
+        r = genfun.survival_map(model, r)
+        scale /= delta
+        survivals[:, l] = r
+        estimates[:, l] = r * scale
+    ratios = survivals[:, 1:] / survivals[:, :-1]
+    return [
+        SurvivalConstant(type_index=j + 1, estimates=estimates[j], ratios=ratios[j], delta=delta)
+        for j in range(model.k)
+    ]
+
+
+def _positive(result: SurvivalConstant) -> SurvivalConstant:
+    if not result.value > 0.0:
+        raise ArithmeticError(
+            f"survival constant for type {result.type_index} is not positive: "
+            f"{result.value!r}"
+        )
+    return result
+
+
 def survival_constant(
     model: BranchingModel,
     j: int,
     l_max: int,
     summary: Optional[SpectralSummary] = None,
 ) -> SurvivalConstant:
-    """Limit constant K_j in survival(l) ~ K_j delta^l from one type-j particle.
-
-    Survival probabilities are iterated in survival form (never forming
-    1 - h directly), so the estimates stay accurate even when the survival
-    probability underflows far below machine epsilon relative to 1.
-    """
-    from stopbp import genfun
-
+    """Limit constant K_j in survival(l) ~ K_j delta^l from one type-j particle."""
     if summary is None:
         summary = perron_triple(moments(model))
     delta = require_subcritical(summary, "survival constant")
     if not 1 <= j <= model.k:
         raise ValueError(f"type index {j} out of range 1..{model.k}")
-    r = np.ones(model.k)
-    estimates = np.empty(l_max)
-    survivals = np.empty(l_max)
-    scale = 1.0
-    for l in range(1, l_max + 1):
-        r = genfun.survival_map(model, r)
-        scale /= delta
-        survivals[l - 1] = r[j - 1]
-        estimates[l - 1] = r[j - 1] * scale
-    ratios = survivals[1:] / survivals[:-1]
-    result = SurvivalConstant(
-        type_index=j, estimates=estimates, ratios=ratios, delta=delta
-    )
-    if not result.value > 0.0:
-        raise ArithmeticError(
-            f"survival constant for type {j} is not positive: {result.value!r}"
-        )
-    return result
+    return _positive(_survival_constants(model, l_max, delta)[j - 1])
 
 
 def survival_constants(
@@ -326,8 +321,7 @@ def survival_constants(
     """K_j for every type, as a 0-based array; also stored on the summary."""
     if summary is None:
         summary = perron_triple(moments(model))
-    K = np.array(
-        [survival_constant(model, j, l_max, summary).value for j in range(1, model.k + 1)]
-    )
+    delta = require_subcritical(summary, "survival constant")
+    K = np.array([_positive(c).value for c in _survival_constants(model, l_max, delta)])
     summary.K = K
     return K

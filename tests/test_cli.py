@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,14 +161,19 @@ class TestClassify:
         doc = json.loads(out.read_text())
         assert max(doc["residuals"].values()) <= 1e-10
 
-    def test_no_convergence_exit_1(self, tmp_path, monkeypatch, caplog):
-        # a defective Perron root defeats power iteration; the step limit
-        # is lowered only to keep the test fast
-        monkeypatch.setattr(spectral, "MAX_ITER", 2000)
+    def test_defective_root_decomposable_exit_1(self, tmp_path, caplog):
+        # mean matrix [[0.5, 1], [0, 0.5]]: a defective Perron root, answered
+        # at once with the decomposable verdict
         path = tmp_path / "defective.json"
         path.write_text(DEFECTIVE_TEXT)
-        assert main(["classify", "--model", str(path)]) == 1
-        assert "did not converge" in caplog.text
+        out = tmp_path / "o.json"
+        start = time.perf_counter()
+        assert main(["classify", "--model", str(path), "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert '"delta": 0.5' in out.read_text()
+        doc = json.loads(out.read_text())
+        assert not doc["indecomposable"] and doc["period"] is None
+        assert "converge" not in caplog.text
 
     def test_missing_file_exit_2(self):
         assert main(["classify", "--model", "/nonexistent/model.json"]) == 2

@@ -395,3 +395,31 @@ class TestCrossModule:
         doc = json.loads(json.dumps(m2_summary.report()))
         assert doc["delta"] == pytest.approx(0.6, abs=1e-12)
         assert doc["flags"]["criticality"] == "subcritical"
+
+
+class TestEigenSolve:
+    def test_near_periodic_supercritical(self):
+        # eigenvalues 100 and -99.33: the second root nearly matches the first
+        # in modulus
+        A = np.array([[0.667439909471219, 104.01908702739189], [95.49455098021673, 0.0]])
+        s = classify(MomentData(A=A, B=np.zeros((2, 2, 2))))
+        assert s.indecomposable and s.period == 1
+        assert s.criticality == "supercritical"
+        assert s.delta == pytest.approx(100.0, rel=1e-13)
+        assert max(s.residual_f, s.residual_nu) <= 1e-12 * s.delta
+
+    def test_random_nonnegative_matrices(self):
+        rng = np.random.default_rng(20111)
+        for _ in range(300):
+            k = int(rng.integers(1, 17))
+            A = rng.random((k, k)) * (rng.random((k, k)) < rng.uniform(0.2, 1.0))
+            radius = max(abs(np.linalg.eigvals(A)))
+            if radius > 0.0:
+                A *= 10.0 ** rng.uniform(np.log10(0.05), 2.0) / radius
+            oracle = max(abs(np.linalg.eigvals(A)))
+            s = classify(MomentData(A=A, B=np.zeros((k, k, k))))
+            assert abs(s.delta - oracle) <= 1e-13 * oracle
+            if s.period == 1:
+                assert np.all(s.f > 0.0) and np.all(s.nu > 0.0)
+                scale = 1e-14 * s.delta * max(s.f.max(), s.nu.max())
+                assert max(s.residual_f, s.residual_nu) <= scale
