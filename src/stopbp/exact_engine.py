@@ -36,10 +36,12 @@ stopping set and the cap, so a bad start fails before a kernel exists.
 ``series_absorptions`` is the one series pipeline that ``stopbp series``
 and the probe run, and it needs no cap and no kernel: every stopping state
 has total <= r0, so the laws P(Z_l = beta), beta in S, come from generating
-functions truncated at degree r0 (``genfun.truncated_laws``), and a renewal
-over first entrances into S sums the absorption at r.  The dense
-``limiting_absorptions``, one pinned backward pass of the stopped chain, is
-its oracle.
+functions truncated at degree r0 (``genfun.truncated_law_blocks``), a block
+of steps at a time.  They are summed into expected visits to S, and one
+|S| x |S| solve turns the visits into first entrances, with the factor it
+adds to the tail bound read off the same solve; nothing is sized by the
+number of steps.  The dense ``limiting_absorptions``, one pinned backward
+pass of the stopped chain, is its oracle.
 """
 
 from __future__ import annotations
@@ -507,14 +509,16 @@ class StopCoefficients:
 def geometric_tail_bound(summary, counts: Sequence[int], after: int) -> float:
     """Bound on the total free-chain mass on nonzero states beyond step ``after``.
 
-    Uses the positive eigenvector f of the mean matrix: the expected
-    population after l steps started from n is at most (n . f) delta^l /
+    Uses the positive vector f of the spectral summary and its factor
+    ``delta_bar``, with A f <= delta_bar f for the computed f: P_n(Z_l != 0)
+    <= E_n[Z_l . f] / min(f) = n A^l f / min(f) <= (n . f) delta_bar^l /
     min(f), and summing the geometric series over l > after bounds the
     probability of being anywhere nonzero (hence in any stopping state).
     Valid for subcritical models only; any other raises
     ``spectral.OutsideTheoremError``.
     """
-    delta = require_subcritical(summary, "geometric tail bound")
+    require_subcritical(summary, "geometric tail bound")
+    delta = summary.delta_bar
     f = np.asarray(summary.f, dtype=float)
     weight = float(np.dot(np.asarray(counts, dtype=float), f)) / float(f.min())
     return weight * delta ** (after + 1) / (1.0 - delta)
@@ -696,12 +700,12 @@ class LimitingAbsorption:
 def _horizon(summary, counts, tol: float) -> tuple[int, float]:
     """First step T, and its bound, with ``geometric_tail_bound(summary,
     counts, T - 1) < tol``: absorption after T needs Z_T != 0, whose
-    probability that bound dominates.  The bound is b delta^T, so T is read
-    off its log and then confirmed by the same test at T - 1 and T."""
+    probability that bound dominates.  The bound is b delta_bar^T, so T is
+    read off its log and then confirmed by the same test at T - 1 and T."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     scale = geometric_tail_bound(summary, counts, -1)
-    guess = (math.log(tol) - math.log(scale)) / math.log(summary.delta)
+    guess = (math.log(tol) - math.log(scale)) / math.log(summary.delta_bar)
     t = min(max(math.floor(guess) + 1, 1), MAX_SERIES_TERMS + 1)
     while t > 1 and geometric_tail_bound(summary, counts, t - 2) < tol:
         t -= 1
@@ -773,41 +777,49 @@ def series_absorptions(
     """Infinite-horizon absorption probabilities from ``starts``, cap-free.
 
     The pipeline behind ``stopbp series`` and the probe: the starts pass
-    ``check_starts`` against ``cap`` first, and each start n gets the same
-    T_n and ``tail_bound`` as ``limiting_absorptions``.  The value is
-    P_n(absorbed at r by T_n) for the uncapped process, so ``overflow_mass``
-    is 0.  Every state of S has total <= r0 = ``stopping.max_total``, so only
-    the laws P(Z_l = beta), beta in S, enter: ``genfun.truncated_laws`` gives
-    them at degree r0 from every start n and every alpha in S, with
-    B(l)[alpha, beta] = P_alpha(Z_l = beta).  The first entrance into S at
-    step l is the renewal g_n(l) = P_n(Z_l in S) - sum_{i<l} g_n(i) B(l - i),
-    and the value is sum_{l <= T_n} g_n(l)[r].
+    ``check_starts`` against ``cap`` first.  Every state of S has total <=
+    r0 = ``stopping.max_total``, so only the laws P(Z_l = beta), beta in S,
+    enter, and ``genfun.truncated_law_blocks`` gives them at degree r0, from
+    every alpha in S and every start n, a block of steps at a time.  They
+    are summed into the expected visits to S, B[alpha, beta] = sum_(l <= T*)
+    P_alpha(Z_l = beta) and H_n[beta] = sum_(l <= T_n) P_n(Z_l = beta), with
+    T_n the horizon of n at tol / 2 and T* the largest.  Every visit is a
+    first entrance followed by the visits from there, so H_n = g_n (I + B)
+    up to the visits after T_n, and the first-entrance value at r is read
+    off one |S| x |S| solve, g_n[r] = H_n (I + B)^-1 e_r.
+
+    The reported ``tail_bound`` is b_n (1 + phi_r), with b_n the geometric
+    tail bound of n at T_n and phi_r = max_alpha |(I + B)^-1[alpha, r]|:
+    b_n covers the entrances after T_n, and b_n phi_r the visits after T_n
+    that the solve takes for entrances.  (I + B)^-1 = I - G, with G the
+    substochastic law of the first return to S, so phi_r <= 1 and the bound
+    stays below tol.  No state space at the cap is built, so
+    ``overflow_mass`` is 0, and ``terms`` is T_n.
     """
     from stopbp import genfun  # genfun imports this module
 
     starts = list(starts)
     check_starts(stopping, starts, r, cap)
-    horizons = [_horizon(summary, n.counts, tol) for n in starts]
+    horizons = [_horizon(summary, n.counts, tol / 2) for n in starts]
     terms = np.array([t for t, _ in horizons], dtype=np.int64)
     steps = int(terms.max(initial=0))
     space = enumerate_states(model.k, stopping.max_total)
     members = stopping.sorted_members()
-    cols = [space.ordinal(a) for a in members]
+    cols = space.ordinals([a.counts for a in members])
     counts = np.array([a.counts for a in members] + [n.counts for n in starts])
-    m, j = len(members), members.index(r)
-    first = np.zeros((steps + 1, len(starts), m))  # first[l] = g_n(l)
-    block = np.zeros((steps + 1, m, m))  # block[l] = B(l)
-    total, values = np.zeros(len(starts)), np.zeros(len(starts))
-    for l, laws in enumerate(genfun.truncated_laws(model, space, counts, steps), 1):
-        block[l] = laws[:m, cols]
-        first[l] = laws[m:, cols] - np.einsum(
-            "ins,ist->nt", first[1:l], block[l - 1: 0: -1]
-        )
-        total += first[l, :, j]
-        values[terms == l] = total[terms == l]
+    m = len(members)
+    last = np.concatenate([np.full(m, steps), terms])  # the last step each row sums
+    visits = np.zeros((len(counts), m))  # B, then H_n per start
+    for l, laws in genfun.truncated_law_blocks(model, space, counts, steps):
+        due = (l + np.arange(len(laws)))[:, None] <= last
+        visits += np.einsum("ln,lnb->nb", due, laws[..., cols])
+    column = np.linalg.solve(np.eye(m) + visits[:m], np.eye(m)[:, members.index(r)])
+    phi = float(np.abs(column).max())
     return [
-        LimitingAbsorption(value=float(value), tail_bound=bound, overflow_mass=0.0, terms=t)
-        for (t, bound), value in zip(horizons, values)
+        LimitingAbsorption(
+            value=float(value), tail_bound=bound * (1.0 + phi), overflow_mass=0.0, terms=t
+        )
+        for (t, bound), value in zip(horizons, visits[m:] @ column)
     ]
 
 

@@ -9,6 +9,7 @@ even when many orders of magnitude below machine epsilon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -133,70 +134,128 @@ def iterate_h(model: BranchingModel, t: int, s) -> GenFunEvaluation:
     return GenFunEvaluation(model=model, t=t, s=s, h=h)
 
 
-def truncated_laws(model: BranchingModel, space, counts, steps: int):
-    """Yield, for l = 1..steps, P_n(Z_l = beta) for every row n of ``counts``
-    and every state beta of ``space`` (columns by ordinal).
+LAW_BLOCK_BYTES = 1 << 21  # working memory of one block of ``truncated_laws``
+_LOG_ZERO = -1e3  # stands for log 0: below log(5e-324), so exp gives 0 exactly
 
-    These are the coefficients of prod_i F_l^(i)(s)^(n_i), F_l the l-th
-    iterate of h, truncated at total degree ``space.cap``.  Each factor is
-    expanded around its constant term: with r = 1 - F(0), iterated in
-    survival form, and v = (F - F(0)) / r, F^c = sum_m Bin(c, r)(m) v^m,
-    and v^m starts at degree m, so m <= cap suffices for any c.  The
-    binomial weights are taken in logs (log C(c, m) as a sum of logs), so c
-    may be huge; every other sum has nonnegative terms, so every coefficient
-    keeps its relative precision.  Laws count as normalised, as in
-    ``survival_map``.
-    """
-    k, cap, size = space.k, space.cap, space.n_states
+
+@lru_cache(maxsize=8)
+def _truncated_pairs(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (a, b) of states with a + b of total <= cap, sorted by the
+    ordinal of a + b, and where each ordinal's group starts."""
+    space = exact_engine.enumerate_states(k, cap)
     states = space.states_array()
-    # truncated products: pairs (a, b) with a + b in the space, grouped by a + b
-    a, b = np.nonzero(states.sum(1)[:, None] + states.sum(1)[None, :] <= cap)
+    totals = states.sum(1)
+    a, b = np.nonzero(totals[:, None] + totals[None, :] <= cap)
     c = space.ordinals(states[a] + states[b])
     order = np.argsort(c, kind="stable")
-    a, b, groups = a[order], b[order], np.searchsorted(c[order], np.arange(size))
+    return a[order], b[order], np.searchsorted(c[order], np.arange(space.n_states))
 
-    def product(x, y):
-        return np.add.reduceat(x[..., a] * y[..., b], groups, axis=-1)
 
-    laws = _law_arrays(model)
-    n_atoms = sum(len(probs) for _, probs in laws)
-    owner = np.concatenate([np.full(len(probs), i) for i, (_, probs) in enumerate(laws)])
-    mix = np.zeros((k, n_atoms))  # F_l^(i) = mix[i] @ (atom powers of F_(l-1))
-    mix[owner, np.arange(n_atoms)] = np.concatenate([probs for _, probs in laws])
-    rows = np.concatenate([x for x, _ in laws] + [np.asarray(counts, dtype=float)])
-    rows = rows[:, :, None]
-    m = np.arange(cap + 1, dtype=float)
+def _product(space, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of power series in ``space``'s monomials (last axis, by
+    ordinal), truncated at total degree ``space.cap``; every sum has
+    nonnegative terms when x and y do."""
+    a, b, groups = _truncated_pairs(space.k, space.cap)
+    return np.add.reduceat(x[..., a] * y[..., b], groups, axis=-1)
+
+
+def _powers(space, v: np.ndarray, top: int) -> np.ndarray:
+    """v^0, ..., v^top of truncated series v (..., size), on a new axis -2."""
+    out = np.zeros(v.shape[:-1] + (top + 1, v.shape[-1]))
+    out[..., 0, 0] = 1.0
+    if top:
+        out[..., 1, :] = v
+    for m in range(2, top + 1):
+        out[..., m, :] = _product(space, out[..., m - 1, :], v)
+    return out
+
+
+def truncated_laws(space, counts, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P_n(Z_l = beta) for a block of steps l, every row n of ``counts`` and
+    every state beta of ``space``: ``out[i, n, beta]`` at the step of r[i].
+
+    These are the coefficients of prod_j F_l^(j)(s)^(n_j), F_l the l-th
+    iterate of h, truncated at total degree ``space.cap``, with F_l^(j) =
+    1 - r[i, j] + r[i, j] v[i, j] (``truncated_law_blocks``).  Each factor
+    is expanded around its constant term, F^c = sum_m Bin(c, r)(m) v^m, and
+    v^m starts at degree m, so m <= cap suffices for any c.  The binomial
+    weights are taken in logs (log C(c, m) as a sum of logs, log a0 =
+    log1p(-r)), so c may be huge; every other sum has nonnegative terms, so
+    every coefficient keeps its relative precision.
+    """
+    rows = np.asarray(counts, dtype=float)[:, :, None]  # (n, k, 1)
+    m = np.arange(space.cap + 1, dtype=float)
     excess = rows - m
     with np.errstate(divide="ignore"):  # log C(c, m) = -inf for m > c
         falling = np.log(np.maximum(excess[..., :-1], 0.0)).cumsum(axis=2)
     log_binom = np.concatenate([np.zeros(rows.shape), falling], axis=2)
     log_binom -= np.concatenate([[0.0], np.log(m[1:]).cumsum()])
-    rest, taken, atom_rows = excess > 0, m > 0, rows[:n_atoms, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 or r = 1
+        log_a0 = np.log1p(-r)[:, None, :, None]
+        log_r = np.log(r)[:, None, :, None]
+        weights = np.exp(log_binom + np.where(excess > 0, excess * log_a0, 0.0)
+                         + np.where(m > 0, m * log_r, 0.0))  # (steps, n, k, cap + 1)
+    factors = weights.transpose(0, 2, 1, 3) @ _powers(space, v, space.cap)
+    laws = factors[:, 0]
+    for j in range(1, space.k):
+        laws = _product(space, laws, factors[:, j])
+    return laws
 
+
+def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):
+    """Yield (l, laws) for consecutive blocks of the steps 1..steps, with
+    ``laws[i, n, beta]`` = P_n(Z_(l+i) = beta) from ``truncated_laws``.
+
+    The loop over steps carries only the k per-type iterates F_l, truncated
+    at total degree ``space.cap``, as r = 1 - F_l(0) and v = (F_l - F_l(0))
+    / r.  r is iterated in survival form, as ``survival_map`` does, so laws
+    count as normalised.  F_(l+1)^(i) is the mix over type i's atoms of
+    prod_j F_l^(j)^(c_j), and an offspring count c is small, so each factor
+    is sum_m C(c, m) a0^(c-m) r^m v^m with integer binomials and powers of
+    v up to min(cap, largest count).  Every ``LAW_BLOCK_BYTES`` of working
+    memory, the steps gathered so far go to ``truncated_laws`` at once.
+    """
+    k, size = space.k, space.n_states
+    laws = _law_arrays(model)
+    atoms = np.concatenate([c for c, _ in laws])
+    n_atoms = len(atoms)
+    owner = np.concatenate([np.full(len(probs), i) for i, (_, probs) in enumerate(laws)])
+    mix = np.zeros((k, n_atoms))  # F_(l+1)^(i) = mix[i] @ (atom powers of F_l)
+    mix[owner, np.arange(n_atoms)] = np.concatenate([probs for _, probs in laws])
+    counts_int = atoms.astype(np.int64)[:, :, None]
+    most = int(atoms.max())
+    m = np.arange(min(space.cap, most) + 1)
+    binom = np.vectorize(math.comb, otypes=[float])(counts_int, m)
+    # a0^(c - m) read off the (k, most + 1) table of a0^e, flattened
+    at = np.arange(k)[:, None] * (most + 1) + np.maximum(counts_int - m, 0)
+    exponents = np.arange(most + 1)
+
+    # float64 entries one step takes in truncated_laws: the powers of v and
+    # their products, then per row the weights, the factors and their products
+    n_pairs = len(_truncated_pairs(k, space.cap)[0])
+    per_row = k * (4 * (space.cap + 1) + size) + (k > 1) * n_pairs
+    per_step = k * ((space.cap + 1) * size + n_pairs) + len(counts) * per_row
+    block = max(1, LAW_BLOCK_BYTES // (8 * per_step))
+    r_block, v_block = np.empty((block, k)), np.empty((block, k, size))
     r = np.ones(k)  # F_0^(i)(s) = s_i: r = 1, v = s_i
     v = np.zeros((k, size))
-    if cap:
+    if space.cap:
         v[range(k), space.ordinals(np.eye(k, dtype=np.int64))] = 1.0
-    for l in range(steps + 1):
-        vpow = [np.eye(1, size).repeat(k, 0)]
-        for _ in range(cap):
-            vpow.append(product(vpow[-1], v))
-        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 or r = 1
-            log_a0 = np.log1p(-r)
-            weights = np.exp(log_binom + np.where(rest, excess * log_a0[:, None], 0.0)
-                             + np.where(taken, m * np.log(r)[:, None], 0.0))
-            dead = np.where(atom_rows > 0, atom_rows * log_a0, 0.0).sum(1)
-        factors = np.einsum("njm,mjs->njs", weights, np.array(vpow))
-        powers = factors[:, 0]
+    for l in range(1, steps + 1):
+        weights = binom * ((1.0 - r)[:, None] ** exponents).ravel()[at] * r[:, None] ** m
+        factors = weights.transpose(1, 0, 2) @ _powers(space, v, len(m) - 1)
+        f = factors[0]
         for j in range(1, k):
-            powers = product(powers, factors[:, j])
-        if l:
-            yield powers[n_atoms:]
-        if l < steps:
-            f = mix @ powers[:n_atoms]
-            r = -(mix @ np.expm1(dead))  # survival_map's 1 - h(1 - r)
-            v = np.divide(f, r[:, None], out=np.zeros_like(f), where=r[:, None] > 0.0)
-            v[:, 0] = 0.0
+            f = _product(space, f, factors[j])
+        f = mix @ f
+        logs = np.log1p(-r, out=np.full(k, _LOG_ZERO), where=r < 1.0)
+        r = -(mix @ np.expm1(atoms @ logs))  # survival_map's 1 - h(1 - r)
+        v = np.divide(f, r[:, None], out=np.zeros_like(f), where=r[:, None] > 0.0)
+        v[:, 0] = 0.0
+        i = (l - 1) % block
+        r_block[i], v_block[i] = r, v
+        if i == block - 1 or l == steps:
+            yield l - i, truncated_laws(space, counts, r_block[: i + 1], v_block[: i + 1])
 
 
 def make_s_grid(k: int, n_points: int) -> np.ndarray:
@@ -431,8 +490,15 @@ def h_star(data: YaglomData, s) -> np.ndarray:
     _check_unit_box(s, data.space.k)
     batch = np.atleast_2d(s)
     counts = data.space.states_array()  # (n, k)
-    powers = batch[:, None, :] ** counts[None, :, :].astype(float)
-    values = powers.prod(axis=2) @ data.p[: data.space.n_states]
+    # s_j^c for c = 0..cap once per coordinate, gathered by the counts and
+    # multiplied over the types in order; the gathered product is copied
+    # C-contiguous, since another layout takes another BLAS path in the @
+    # and moves the last bits
+    table = batch[:, :, None] ** np.arange(data.space.cap + 1, dtype=float)
+    powers = table[:, 0, counts[:, 0]]  # (points, n)
+    for j in range(1, data.space.k):
+        powers = powers * table[:, j, counts[:, j]]
+    values = np.ascontiguousarray(powers) @ data.p[: data.space.n_states]
     return values.reshape(s.shape[:-1]) if s.ndim > 1 else float(values[0])
 
 

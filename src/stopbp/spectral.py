@@ -138,6 +138,7 @@ class SpectralSummary:
     residual_f: Optional[float] = None
     residual_nu: Optional[float] = None
     K: Optional[np.ndarray] = None  # per-type survival constants, 0-based
+    delta_bar: Optional[float] = None  # max_i (A f)_i / f_i, one ulp up: A f <= delta_bar f
 
     def report(self) -> dict:
         """JSON-ready summary of a Perron triple."""
@@ -162,7 +163,9 @@ def classify(moment_data: MomentData) -> SpectralSummary:
     left vector nu.  For an indecomposable aperiodic A, nu is scaled
     to sum to 1, then f so that sum_i f_i nu_i = 1, and delta is the
     generalized Rayleigh quotient nu A f / nu f, whose error is second order
-    in the vector errors.  ``boundary`` labels the degenerate case where delta
+    in the vector errors.  ``delta_bar``, the largest (A f)_i / f_i rounded
+    one ulp up, satisfies A f <= delta_bar f at the computed f however
+    inexact f is, so it, not delta, is the factor tail bounds use.  ``boundary`` labels the degenerate case where delta
     sits in the critical band but the second-moment form is not strictly
     positive (for example a deterministic one-child law).
     """
@@ -177,11 +180,13 @@ def classify(moment_data: MomentData) -> SpectralSummary:
         nu = nu / nu.sum()
         f = f / float(np.dot(f, nu))
         delta = float(nu @ A @ f) / float(np.dot(nu, f))
+        Af = A @ f
         perron = dict(
             f=f,
             nu=nu,
-            residual_f=float(np.max(np.abs(A @ f - delta * f))),
+            residual_f=float(np.max(np.abs(Af - delta * f))),
             residual_nu=float(np.max(np.abs(nu @ A - delta * nu))),
+            delta_bar=float(np.nextafter(np.max(Af / f), np.inf)),
         )
     if delta < 1.0 - CRITICAL_BAND:
         criticality = "subcritical"

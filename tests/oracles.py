@@ -245,3 +245,18 @@ def mp_absorption(model_text, start, target, steps, dps=50):
                 coeff = int(a == j) - sum(first[u][a][j] for u in range(steps - l))
                 q += hits[l - 1][a] * coeff
         return q
+
+
+def renewal_absorption(hits, blocks, target):
+    """P_n(absorbed at stopping state ``target`` by step T), T = len(hits),
+    by the renewal over first entrances into S.
+
+    ``hits[l - 1][alpha]`` = P_n(Z_l = alpha) and ``blocks[l - 1][alpha,
+    beta]`` = P_alpha(Z_l = beta) over the stopping states, l = 1..T.  The
+    first entrance at step l is g(l) = hits(l) - sum_(i<l) g(i) B(l - i),
+    and the value is sum_(l <= T) g(l)[target].
+    """
+    first = []
+    for l in range(len(hits)):
+        first.append(hits[l] - sum(first[i] @ blocks[l - i - 1] for i in range(l)))
+    return float(sum(g[target] for g in first))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stopbp import genfun
 from stopbp.exact_engine import (
     CapacityError,
     distribution_after,
@@ -19,7 +20,7 @@ from stopbp.genfun import (
     single_offspring_matrix,
     single_offspring_reachable,
     survival_map,
-    truncated_laws,
+    truncated_law_blocks,
     yaglom,
     yaglom_residual,
 )
@@ -375,6 +376,19 @@ class TestYaglomResidual:
         )
         assert h_star(data, np.array([s])) == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("name, cap, t", [("m1", 400, 60), ("m2", 70, 40)])
+    def test_h_star_bit_identical_to_elementwise_powers(self, request, name, cap, t):
+        # the power table gathered by counts against s ** counts taken per
+        # state, then the product over types and one @ with the law
+        model, _ = request.getfixturevalue(name)
+        space = enumerate_states(model.k, cap)
+        data = yaglom(model, space, 1, t)
+        grid = make_s_grid(model.k, 50)
+        for s in (grid, eval_h(model, grid)):
+            powers = s[:, None, :] ** space.states_array()[None, :, :].astype(float)
+            want = powers.prod(axis=2) @ data.p[: space.n_states]
+            assert np.array_equal(h_star(data, s), want)
+
 
 class TestTruncatedLaws:
     @pytest.mark.parametrize("name, counts", [
@@ -386,11 +400,28 @@ class TestTruncatedLaws:
         # free-process law by dictionary convolution
         model, _ = request.getfixturevalue(name)
         space = enumerate_states(model.k, 3)
-        for l, laws in enumerate(truncated_laws(model, space, counts, 4), 1):
-            for row, n in zip(laws, counts):
+        laws = [step for _, block in truncated_law_blocks(model, space, counts, 4)
+                for step in block]
+        assert len(laws) == 4
+        for l, step in enumerate(laws, 1):
+            for row, n in zip(step, counts):
                 exact = free_distribution(model, n, l)
                 want = [exact.get(state.counts, 0.0) for state in space.states]
                 np.testing.assert_allclose(row, want, rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("name, cap", [("m1", 4), ("m2", 3), ("k3", 2)])
+    def test_block_length_does_not_move_laws(self, request, name, cap, monkeypatch):
+        # one block for all 30 steps, and one step per block
+        model, _ = request.getfixturevalue(name)
+        space = enumerate_states(model.k, cap)
+        counts = [(1,) * model.k, (7,) * model.k, (10**6,) + (0,) * (model.k - 1)]
+        [(first, whole)] = truncated_law_blocks(model, space, counts, 30)
+        assert first == 1 and whole.shape == (30, len(counts), space.n_states)
+        monkeypatch.setattr(genfun, "LAW_BLOCK_BYTES", 1)
+        single = list(truncated_law_blocks(model, space, counts, 30))
+        assert [l for l, _ in single] == list(range(1, 31))
+        np.testing.assert_allclose(
+            np.concatenate([block for _, block in single]), whole, rtol=1e-15, atol=0)
 
 
 class TestSGrid:

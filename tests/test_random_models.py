@@ -22,7 +22,11 @@ from stopbp.model import BranchingModel, OffspringLaw, PopulationState, Stopping
 from stopbp.spectral import classify, moments
 
 from oracles import kernel_by_states
-from test_exact_engine import assert_matches_dense, assert_table_matches_routes
+from test_exact_engine import (
+    assert_matches_dense,
+    assert_solve_matches_renewal,
+    assert_table_matches_routes,
+)
 
 
 def random_model(seed: int, k: int = 2, max_children: int = 2) -> BranchingModel:
@@ -125,6 +129,7 @@ def test_series_matches_dense_random_model(seed):
     assert classify(moments(model)).period == 1, "seeds are chosen primitive"
     stopping = StoppingSet(frozenset({PopulationState((1, 0)), PopulationState((1, 1))}))
     assert_matches_dense(model, stopping, 30, [(0, 1), (0, 2), (2, 2), (5, 3)])
+    assert_solve_matches_renewal(model, stopping, [(0, 1), (0, 2), (2, 2), (5, 3), (900, 70)])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

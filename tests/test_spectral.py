@@ -423,3 +423,31 @@ class TestEigenSolve:
                 assert np.all(s.f > 0.0) and np.all(s.nu > 0.0)
                 scale = 1e-14 * s.delta * max(s.f.max(), s.nu.max())
                 assert max(s.residual_f, s.residual_nu) <= scale
+
+
+def assert_delta_bar(summary, A):
+    """A f <= delta_bar f at the computed f, and delta_bar within 1e-14
+    relative of delta."""
+    assert np.all(A @ summary.f <= summary.delta_bar * summary.f)
+    assert summary.delta_bar - summary.delta <= 1e-14 * summary.delta
+
+
+class TestDeltaBar:
+    @pytest.mark.parametrize("name", ["m1", "m2", "k3"])
+    def test_fixture_models(self, request, name):
+        model, _ = request.getfixturevalue(name)
+        data = moments(model)
+        assert_delta_bar(perron_triple(data), data.A)
+
+    def test_random_primitive_matrices(self):
+        rng = np.random.default_rng(2311)
+        for _ in range(200):
+            k = int(rng.integers(1, 9))
+            A = rng.uniform(0.05, 1.0, (k, k))
+            A *= rng.uniform(0.05, 2.0) / max(abs(np.linalg.eigvals(A)))
+            summary = classify(MomentData(A=A, B=np.zeros((k, k, k))))
+            assert summary.period == 1
+            assert_delta_bar(summary, A)
+
+    def test_not_reported(self, m2_summary):
+        assert "delta_bar" not in m2_summary.report()
