@@ -791,9 +791,9 @@ def series_absorptions(
     The reported ``tail_bound`` is b_n (1 + phi_r), with b_n the geometric
     tail bound of n at T_n and phi_r = max_alpha |(I + B)^-1[alpha, r]|:
     b_n covers the entrances after T_n, and b_n phi_r the visits after T_n
-    that the solve takes for entrances.  (I + B)^-1 = I - G, with G the
-    substochastic law of the first return to S, so phi_r <= 1 and the bound
-    stays below tol.  No state space at the cap is built, so
+    that the solve takes for entrances.  Untruncated, (I + B)^-1 = I - G,
+    with G the substochastic law of the first return to S, so phi_r <= 1
+    and the bound stays below tol.  No state space at the cap is built, so
     ``overflow_mass`` is 0, and ``terms`` is T_n.
     """
     from stopbp import genfun  # genfun imports this module

@@ -165,9 +165,10 @@ def classify(moment_data: MomentData) -> SpectralSummary:
     generalized Rayleigh quotient nu A f / nu f, whose error is second order
     in the vector errors.  ``delta_bar``, the largest (A f)_i / f_i rounded
     one ulp up, satisfies A f <= delta_bar f at the computed f however
-    inexact f is, so it, not delta, is the factor tail bounds use.  ``boundary`` labels the degenerate case where delta
-    sits in the critical band but the second-moment form is not strictly
-    positive (for example a deterministic one-child law).
+    inexact f is, so it, not delta, is the factor tail bounds use.
+    ``boundary`` labels the degenerate case where delta sits in the critical
+    band but the second-moment form is not strictly positive (for example a
+    deterministic one-child law).
     """
     A = np.asarray(moment_data.A, dtype=float)
     indecomposable = is_strongly_connected(A)

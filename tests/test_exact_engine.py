@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stopbp import exact_engine
-from stopbp import genfun
+from stopbp import exact_engine, genfun
 from stopbp.exact_engine import (
     MAX_SERIES_TERMS,
     CapacityError,
@@ -39,10 +38,10 @@ from stopbp.spectral import moments, perron_triple
 from oracles import (
     first_passage_probability,
     free_distribution,
-    renewal_absorption,
     graded_lex_states,
     kernel_by_states,
     mp_absorption,
+    renewal_absorption,
     stopped_distribution,
 )
 
