@@ -222,12 +222,13 @@ def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):
     owner = np.concatenate([np.full(len(probs), i) for i, (_, probs) in enumerate(laws)])
     mix = np.zeros((k, n_atoms))  # F_(l+1)^(i) = mix[i] @ (atom powers of F_l)
     mix[owner, np.arange(n_atoms)] = np.concatenate([probs for _, probs in laws])
-    counts_int = atoms.astype(np.int64)[:, :, None]
+    counts_int = atoms.astype(np.int64)
     most = int(atoms.max())
     m = np.arange(min(space.cap, most) + 1)
-    binom = np.vectorize(math.comb, otypes=[float])(counts_int, m)
+    pascal = np.array([[math.comb(c, j) for j in m] for c in range(most + 1)], dtype=float)
+    binom = pascal[counts_int]  # C(c, m) per atom and type
     # a0^(c - m) read off the (k, most + 1) table of a0^e, flattened
-    at = np.arange(k)[:, None] * (most + 1) + np.maximum(counts_int - m, 0)
+    at = np.arange(k)[:, None] * (most + 1) + np.maximum(counts_int[:, :, None] - m, 0)
     exponents = np.arange(most + 1)
 
     # float64 entries one step takes in truncated_laws: the powers of v and
@@ -235,7 +236,7 @@ def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):
     n_pairs = len(_truncated_pairs(k, space.cap)[0])
     per_row = k * (4 * (space.cap + 1) + size) + (k > 1) * n_pairs
     per_step = k * ((space.cap + 1) * size + n_pairs) + len(counts) * per_row
-    block = max(1, LAW_BLOCK_BYTES // (8 * per_step))
+    block = max(1, min(steps, LAW_BLOCK_BYTES // (8 * per_step)))
     r_block, v_block = np.empty((block, k)), np.empty((block, k, size))
     r = np.ones(k)  # F_0^(i)(s) = s_i: r = 1, v = s_i
     v = np.zeros((k, size))
