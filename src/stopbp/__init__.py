@@ -21,15 +21,10 @@ from stopbp.model import (
 )
 from stopbp.exact_engine import (
     CapacityError,
-    absorb_direct,
-    absorb_via_formula,
-    absorb_via_restricted,
     enumerate_states,
-    limiting_absorptions,
     one_step_kernel,
     restricted_kernel,
     stop_coefficients,
-    t_step_kernel,
 )
 from stopbp.spectral import (
     classify,
@@ -72,9 +67,6 @@ __all__ = [
     "OffspringLaw",
     "PopulationState",
     "StoppingSet",
-    "absorb_direct",
-    "absorb_via_formula",
-    "absorb_via_restricted",
     "build_cyclic_model",
     "classify",
     "dump_model",
@@ -87,7 +79,6 @@ __all__ = [
     "fit_cyclic_amplitudes",
     "iterate_h",
     "iterate_survival",
-    "limiting_absorptions",
     "load_model",
     "make_s_grid",
     "mean_dominance",
@@ -103,7 +94,6 @@ __all__ = [
     "stop_coefficients",
     "survival_constant",
     "survival_constants",
-    "t_step_kernel",
     "unit_state",
     "yaglom",
     "yaglom_residual",

@@ -6,14 +6,10 @@ mass leaving the cap.  All absorption probabilities computed on it are exact
 for the truncated chain; the accumulated overflow mass is reported as the
 truncation error bound against the uncapped model.
 
-Three independent routes to the absorption probability q(n -> r, t) are
-provided and cross-checked in the test suite:
-
-* ``absorb_direct``       -- power of the stopped chain,
-* ``absorb_via_formula``  -- stop-coefficient expansion over free-chain
-                             hitting probabilities,
-* ``absorb_via_restricted`` -- partial sums of first-passage (restricted)
-                             transition probabilities.
+The paper gives three routes to the absorption probability q(n -> r, t):
+the stopped chain, the stop-coefficient expansion over free-chain hitting
+probabilities, and the partial sums of first-passage (restricted)
+transition probabilities.  ``absorption_table`` computes all three.
 
 The state space is one read-only (S, k) count array in graded-lex order.
 An ordinal is the rank of a count vector in the combinatorial number system
@@ -25,11 +21,12 @@ tables and each kernel row's parent are array operations; the tuples of
 computes all three routes from one forward block of rows, multiplied by the
 kernel once per step: the stopped chain and the masked (first-passage) chain
 from each start, the masked chain from each stopping state, and the free
-chain from each start.  The three route functions above keep their own
-propagation, through ``TransitionKernel.forward`` (rows e_n K^l) and
+chain from each start.  The backward tables, built on
 ``TransitionKernel.backward`` (columns K^l C, stopping rows masked for first
-passage or pinned), and serve as its oracles; ``compose`` takes matrix
-powers.
+passage or pinned), give each route on its own: ``stopped_hitting_column``
+(stopped chain), ``restricted_kernel`` with ``stop_coefficients`` (first
+passage) and ``hitting_columns`` (free chain).  The verify battery and the
+tests check the table against them.
 
 Every start is checked once, by ``check_starts``, which needs only the
 stopping set and the cap, so a bad start fails before a kernel exists.
@@ -40,8 +37,8 @@ functions truncated at degree r0 (``genfun.truncated_law_blocks``), a block
 of steps at a time.  They are summed into expected visits to S, and one
 |S| x |S| solve turns the visits into first entrances, with the factor it
 adds to the tail bound read off the same solve; nothing is sized by the
-number of steps.  The dense ``limiting_absorptions``, one pinned backward
-pass of the stopped chain, is its oracle.
+number of steps.  The tests check it against a dense pinned backward pass
+of the stopped chain.
 """
 
 from __future__ import annotations
@@ -159,10 +156,6 @@ class StateSpace:
     def __contains__(self, state: PopulationState) -> bool:
         return len(state.counts) == self.k and state.total <= self.cap
 
-    def states_array(self) -> np.ndarray:
-        """(n_states, k) integer array of count vectors, read-only."""
-        return self.counts
-
 
 def enumerate_states(k: int, cap: int, limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
     """Enumerate every state with total <= cap in graded-lex order.
@@ -200,20 +193,14 @@ def enumerate_states(k: int, cap: int, limit: int = DEFAULT_STATE_LIMIT) -> Stat
 
 @dataclass(eq=False)
 class TransitionKernel:
-    """Dense t-step transition matrix over a capped space.
+    """Dense one-step transition matrix over a capped space.
 
     ``matrix[i, j]`` is the probability of moving from ordinal i to ordinal
-    j in t steps; the last ordinal is the absorbing overflow sentinel.
+    j in one step; the last ordinal is the absorbing overflow sentinel.
     """
 
     space: StateSpace
-    t: int
     matrix: np.ndarray
-
-    @property
-    def overflow_mass(self) -> np.ndarray:
-        """Per-row probability of having left the capped space."""
-        return self.matrix[:, self.space.overflow]
 
     def validate(self, tol: float = KERNEL_TOL):
         """Raise if any row is not a probability vector within ``tol``."""
@@ -309,46 +296,7 @@ def one_step_kernel(model: BranchingModel, space: StateSpace) -> TransitionKerne
         row[:] = np.bincount(shift, weights=np.multiply(base, p, out=weights), minlength=size)
         for p, shift in rest:
             row += np.bincount(shift, weights=np.multiply(base, p, out=weights), minlength=size)
-    return TransitionKernel(space=space, t=1, matrix=matrix)
-
-
-def compose(first: TransitionKernel, second: TransitionKernel) -> TransitionKernel:
-    if first.space is not second.space:
-        raise ValueError("kernels live on different state spaces")
-    return TransitionKernel(
-        space=first.space, t=first.t + second.t, matrix=first.matrix @ second.matrix
-    )
-
-
-def t_step_kernel(kernel: TransitionKernel, t: int) -> TransitionKernel:
-    """t-fold composition of a kernel with itself."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    result = kernel
-    for _ in range(t - 1):
-        result = compose(result, kernel)
-    return result
-
-
-def stopped_kernel(kernel: TransitionKernel, stopping: StoppingSet) -> TransitionKernel:
-    """Kernel of the stopped chain: stopping states become absorbing."""
-    matrix = kernel.matrix.copy()
-    for member in stopping:
-        ordinal = kernel.space.ordinal(member)
-        matrix[ordinal] = 0.0
-        matrix[ordinal, ordinal] = 1.0
-    return TransitionKernel(space=kernel.space, t=kernel.t, matrix=matrix)
-
-
-def distribution_after(
-    kernel: TransitionKernel, start: PopulationState, t: int
-) -> np.ndarray:
-    """Distribution over ordinals after t applications of the kernel."""
-    v = np.zeros(kernel.space.size)
-    v[kernel.space.ordinal(start)] = 1.0
-    for v in kernel.forward(start, t):
-        pass
-    return v
+    return TransitionKernel(space=space, matrix=matrix)
 
 
 def hitting_columns(
@@ -609,75 +557,6 @@ def stopped_hitting_column(
     return out
 
 
-def absorb_direct(
-    kernel: TransitionKernel,
-    stopping: StoppingSet,
-    n: PopulationState,
-    r: PopulationState,
-    t: int,
-) -> float:
-    """Absorption probability at r by time t, from the stopped chain."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    check_starts(stopping, [n], r, kernel.space.cap)
-    column = stopped_hitting_column(kernel, stopping, r, t)
-    return float(column[t, kernel.space.ordinal(n)])
-
-
-def absorb_via_restricted(
-    restricted: RestrictedKernel, n: PopulationState, r: PopulationState, t: int
-) -> float:
-    """Absorption probability as the partial sum of first-passage terms."""
-    check_starts(restricted.stopping, [n], r, restricted.space.cap)
-    if t > restricted.t_max:
-        raise ValueError(f"t={t} beyond tabulated {restricted.t_max}")
-    s = restricted.space.ordinal(n)
-    j = restricted.column_index(r)
-    return float(restricted.values[:t, s, j].sum())
-
-
-def absorb_via_formula(
-    kernel: TransitionKernel,
-    coefficients: StopCoefficients,
-    n: PopulationState,
-    r: PopulationState,
-    t: int,
-) -> float:
-    """Absorption probability from the stop-coefficient expansion.
-
-    Sums, over stopping states alpha and steps l <= t, the coefficient
-    c(t, l) times the free-chain probability of being at alpha after l
-    steps from n.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if t > coefficients.t_max:
-        raise ValueError(f"t={t} beyond coefficient table {coefficients.t_max}")
-    check_starts(coefficients.stopping, [n], r, kernel.space.cap)
-    return _formula_row(kernel, coefficients, n, r, [t])[0][0]
-
-
-def _formula_row(
-    kernel: TransitionKernel,
-    coefficients: StopCoefficients,
-    n: PopulationState,
-    r: PopulationState,
-    t_list: Sequence[int],
-) -> list[tuple[float, float]]:
-    """(formula q(n -> r, t), overflow mass of e_n K^t) for each t, from one
-    forward row e_n K^l propagated to max(t_list)."""
-    space = kernel.space
-    ordinals = [space.ordinal(a) for a in coefficients.states]
-    c = coefficients.first_column[:, coefficients.states.index(r)]
-    t_max = max(t_list)
-    hits = np.zeros((t_max + 1, len(ordinals)))  # hits[l] = P_n(Z_l = alpha)
-    overflow = np.zeros(t_max + 1)
-    for l, v in enumerate(kernel.forward(n, t_max), 1):
-        hits[l] = v[ordinals]
-        overflow[l] = v[space.overflow]
-    return [(_formula_sum(c, hits, t), float(overflow[t])) for t in t_list]
-
-
 def _formula_sum(c: np.ndarray, hits: np.ndarray, t: int) -> float:
     """sum over l <= t of c(t, l) . hits[l], with c[:, u] = c(u + 1, 1) for
     one target and hits[l] = P_n(Z_l = alpha) over the stopping states."""
@@ -717,54 +596,6 @@ def _horizon(summary, counts, tol: float) -> tuple[int, float]:
     raise ArithmeticError(f"series did not meet tol={tol} in {MAX_SERIES_TERMS} terms")
 
 
-def limiting_absorptions(
-    kernel: TransitionKernel,
-    stopping: StoppingSet,
-    summary,
-    starts: Sequence[PopulationState],
-    r: PopulationState,
-    tol: float = 1e-10,
-) -> list[LimitingAbsorption]:
-    """Infinite-horizon absorption probabilities from many starts.
-
-    q(n -> r) is the stopped chain's absorption at r, read at step T_n, the
-    first T whose geometric tail bound (from the spectral summary's Perron
-    root) drops below ``tol``: absorption after T needs Z_T != 0, so that
-    bound, the reported ``tail_bound``, covers the rest.  Refuses
-    non-subcritical models, for which the bound is invalid
-    (``geometric_tail_bound`` raises).
-
-    One backward pass, with the stopping rows pinned, propagates two
-    columns, K^l e_r and K^l e_overflow, one matvec per column per step up
-    to the largest T_n; each start reads its value and the stopped chain's
-    overflow mass at its own T_n.
-    """
-    space = kernel.space
-    starts = list(starts)
-    check_starts(stopping, starts, r, space.cap)
-    pin = _stopping_ordinals(space, stopping)
-    horizons = [_horizon(summary, n.counts, tol) for n in starts]
-    rows = np.array([space.ordinal(n) for n in starts], dtype=np.int64)
-    terms = np.array([t for t, _ in horizons], dtype=np.int64)
-    hit = np.zeros(space.size)
-    hit[space.ordinal(r)] = 1.0
-    ov = np.zeros(space.size)
-    ov[space.overflow] = 1.0
-    steps = int(terms.max(initial=0))
-    values, overflow = np.empty(len(rows)), np.empty(len(rows))
-    pairs = zip(kernel.backward(hit, steps, pin=pin), kernel.backward(ov, steps, pin=pin))
-    for t, (hit, ov) in enumerate(pairs, 1):
-        due = terms == t
-        values[due] = hit[rows[due]]
-        overflow[due] = ov[rows[due]]
-    return [
-        LimitingAbsorption(
-            value=float(value), tail_bound=bound, overflow_mass=float(mass), terms=t
-        )
-        for (t, bound), value, mass in zip(horizons, values, overflow)
-    ]
-
-
 def series_absorptions(
     model: BranchingModel,
     stopping: StoppingSet,
@@ -793,8 +624,10 @@ def series_absorptions(
     b_n covers the entrances after T_n, and b_n phi_r the visits after T_n
     that the solve takes for entrances.  Untruncated, (I + B)^-1 = I - G,
     with G the substochastic law of the first return to S, so phi_r <= 1
-    and the bound stays below tol.  No state space at the cap is built, so
-    ``overflow_mass`` is 0, and ``terms`` is T_n.
+    and the bound stays below tol.  The value is clipped to [0, 1], where
+    q lies, so rounding in the signed solve never reports a negative
+    probability and the clip never adds to the error.  No state space at
+    the cap is built, so ``overflow_mass`` is 0, and ``terms`` is T_n.
     """
     from stopbp import genfun  # genfun imports this module
 
@@ -819,7 +652,7 @@ def series_absorptions(
         LimitingAbsorption(
             value=float(value), tail_bound=bound * (1.0 + phi), overflow_mass=0.0, terms=t
         )
-        for (t, bound), value in zip(horizons, visits[m:] @ column)
+        for (t, bound), value in zip(horizons, np.clip(visits[m:] @ column, 0.0, 1.0))
     ]
 
 

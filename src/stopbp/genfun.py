@@ -143,7 +143,7 @@ def _truncated_pairs(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Index pairs (a, b) of states with a + b of total <= cap, sorted by the
     ordinal of a + b, and where each ordinal's group starts."""
     space = exact_engine.enumerate_states(k, cap)
-    states = space.states_array()
+    states = space.counts
     totals = states.sum(1)
     a, b = np.nonzero(totals[:, None] + totals[None, :] <= cap)
     c = space.ordinals(states[a] + states[b])
@@ -417,7 +417,7 @@ class YaglomData:
         return [self.space.state(i) for i in np.nonzero(self.p)[0]]
 
     def mean_vector(self) -> np.ndarray:
-        return self.p @ self.space.states_array()
+        return self.p @ self.space.counts
 
     def tv_distance(self, other: "YaglomData") -> float:
         if other.space is not self.space:
@@ -490,7 +490,7 @@ def h_star(data: YaglomData, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     _check_unit_box(s, data.space.k)
     batch = np.atleast_2d(s)
-    counts = data.space.states_array()  # (n, k)
+    counts = data.space.counts  # (n, k)
     # s_j^c for c = 0..cap once per coordinate, gathered by the counts and
     # multiplied over the types in order; the gathered product is copied
     # C-contiguous, since another layout takes another BLAS path in the @

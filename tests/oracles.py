@@ -8,6 +8,10 @@ completely different computation path than the kernels.  The state-space
 oracles enumerate states by recursion and build the dense kernel state by
 state with dictionary lookups: the reference the engine's array-ranked
 kernel must match bit for bit.
+
+One oracle is the exception: ``limiting_absorptions``, the dense reference
+for the cap-free series, runs on the engine's kernel and its backward
+propagation, as the stopped-chain pass at each start's horizon.
 """
 
 from collections import defaultdict
@@ -260,3 +264,47 @@ def renewal_absorption(hits, blocks, target):
     for l in range(len(hits)):
         first.append(hits[l] - sum(first[i] @ blocks[l - i - 1] for i in range(l)))
     return float(sum(g[target] for g in first))
+
+
+def limiting_absorptions(kernel, stopping, summary, starts, r, tol=1e-10):
+    """Infinite-horizon absorption probabilities from many starts, on the
+    engine's dense kernel.
+
+    q(n -> r) is the stopped chain's absorption at r, read at step T_n, the
+    first T whose geometric tail bound (from the spectral summary's Perron
+    root) drops below ``tol``: absorption after T needs Z_T != 0, so that
+    bound, the reported ``tail_bound``, covers the rest.  Refuses
+    non-subcritical models, for which the bound is invalid
+    (``geometric_tail_bound`` raises).
+
+    One backward pass, with the stopping rows pinned, propagates two
+    columns, K^l e_r and K^l e_overflow, one matvec per column per step up
+    to the largest T_n; each start reads its value and the stopped chain's
+    overflow mass at its own T_n.
+    """
+    from stopbp import exact_engine
+
+    space = kernel.space
+    starts = list(starts)
+    exact_engine.check_starts(stopping, starts, r, space.cap)
+    pin = [space.ordinal(member) for member in stopping]
+    horizons = [exact_engine._horizon(summary, n.counts, tol) for n in starts]
+    rows = np.array([space.ordinal(n) for n in starts], dtype=np.int64)
+    terms = np.array([t for t, _ in horizons], dtype=np.int64)
+    hit = np.zeros(space.size)
+    hit[space.ordinal(r)] = 1.0
+    ov = np.zeros(space.size)
+    ov[space.overflow] = 1.0
+    steps = int(terms.max(initial=0))
+    values, overflow = np.empty(len(rows)), np.empty(len(rows))
+    pairs = zip(kernel.backward(hit, steps, pin=pin), kernel.backward(ov, steps, pin=pin))
+    for t, (hit, ov) in enumerate(pairs, 1):
+        due = terms == t
+        values[due] = hit[rows[due]]
+        overflow[due] = ov[rows[due]]
+    return [
+        exact_engine.LimitingAbsorption(
+            value=float(value), tail_bound=bound, overflow_mass=float(mass), terms=t
+        )
+        for (t, bound), value, mass in zip(horizons, values, overflow)
+    ]

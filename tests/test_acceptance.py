@@ -116,11 +116,10 @@ def test_c03_composition_and_semigroup(m1, m2):
         )
         for _ in range(5):
             t1, t2 = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            both = exact_engine.t_step_kernel(kernel, t1 + t2).matrix
-            split = exact_engine.compose(
-                exact_engine.t_step_kernel(kernel, t1),
-                exact_engine.t_step_kernel(kernel, t2),
-            ).matrix
+            both = np.linalg.matrix_power(kernel.matrix, t1 + t2)
+            split = np.linalg.matrix_power(kernel.matrix, t1) @ np.linalg.matrix_power(
+                kernel.matrix, t2
+            )
             worst_kernel = max(worst_kernel, float(np.max(np.abs(both - split))))
     worst_h = 0.0
     for model, _ in (m1, m2):
@@ -258,7 +257,8 @@ def test_c10_monte_carlo_battery(m1, m2, kernels60):
     model1, stop1 = m1
     model2, stop2 = m2
     kernel2, _ = kernels60["m2"]
-    exact_m2 = exact_engine.absorb_direct(kernel2, stop2, S((0, 2)), S((1, 0)), 10)
+    column = exact_engine.stopped_hitting_column(kernel2, stop2, S((1, 0)), 10)
+    exact_m2 = column[10, kernel2.space.ordinal(S((0, 2)))]
     exact_yag = float(genfun.iterate_survival(model1, 6, s=np.zeros(1))[0])
 
     reps = 100_000

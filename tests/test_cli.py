@@ -102,6 +102,22 @@ MEAN_ONE_TEXT = """\
 }
 """
 
+# two types, S = {[1,1], [2,0]}: type b begets at most one a, and an a
+# begets one b or two a, so from [0,2] no generation outside S holds both
+# types and [1,1] is never reached; q([0,2] -> [1,1]) is exactly 0
+UNREACHABLE_TEXT = """\
+{
+  "version": 1,
+  "types": ["a", "b"],
+  "offspring": [
+    [{"counts": [0, 0], "p": 0.5366125353898855}, {"counts": [0, 1], "p": 0.26891532509115046},
+     {"counts": [2, 0], "p": 0.194472139518964}],
+    [{"counts": [0, 0], "p": 0.5407451946875477}, {"counts": [1, 0], "p": 0.4592548053124523}]
+  ],
+  "stopping_set": [[1, 1], [2, 0]]
+}
+"""
+
 
 def run_cli(*argv):
     """``python -m stopbp`` in a fresh process: (exit code, stderr lines)."""
@@ -330,6 +346,18 @@ class TestSeries:
         assert main([
             "series", "--model", super_path, "--n", "[1]", "--r", "[2]",
         ]) == 1
+
+    def test_unreachable_target_prints_zero(self, tmp_path):
+        # the signed solve leaves -1.2e-12 here; the value is clipped to
+        # [0, 1], where the true q lies
+        path, out = tmp_path / "model.json", tmp_path / "s.csv"
+        path.write_text(UNREACHABLE_TEXT)
+        assert main([
+            "series", "--model", str(path), "--n", "[0,2]", "--r", "[1,1]",
+            "--cap", "40", "--out", str(out),
+        ]) == 0
+        q = {row[3]: row[4] for row in csv.reader(out.read_text().splitlines()[1:])}
+        assert q["series"] == "0"
 
     def test_tolerance_scales_bound(self, m1_path, tmp_path):
         # the guarantee is linear in tol: each reported bound stays below

@@ -8,24 +8,16 @@ from stopbp import exact_engine, genfun
 from stopbp.exact_engine import (
     MAX_SERIES_TERMS,
     CapacityError,
-    absorb_direct,
-    absorb_via_formula,
-    absorb_via_restricted,
     absorption_table,
-    compose,
-    distribution_after,
     enumerate_states,
     geometric_tail_bound,
     hitting_columns,
-    limiting_absorptions,
     one_step_kernel,
     restricted_kernel,
     restricted_via_inclusion_exclusion,
     series_absorptions,
     stop_coefficients,
     stopped_hitting_column,
-    stopped_kernel,
-    t_step_kernel,
 )
 from stopbp.model import (
     BranchingModel,
@@ -40,12 +32,54 @@ from oracles import (
     free_distribution,
     graded_lex_states,
     kernel_by_states,
+    limiting_absorptions,
     mp_absorption,
     renewal_absorption,
     stopped_distribution,
 )
 
 S = PopulationState
+
+
+def route_references(kernel, stopping, r, t_max):
+    """Each route to q(s -> r, t) on its own backward table, for every
+    ordinal s and t = 0..t_max: the stopped chain (``stopped_hitting_column``),
+    the partial sums of ``restricted_kernel`` and the stop-coefficient
+    expansion over ``hitting_columns``; and the free chain's overflow mass."""
+    size = kernel.space.size
+    restricted = restricted_kernel(kernel, stopping, t_max)
+    coeffs = stop_coefficients(restricted)
+    j = restricted.column_index(r)
+    free = hitting_columns(kernel, coeffs.states, t_max)
+    formula = np.zeros((t_max + 1, size))
+    for t in range(1, t_max + 1):
+        for l in range(1, t + 1):
+            formula[t] += free[l] @ coeffs.first_column[:, j, t - l]
+    partial = np.zeros((t_max + 1, size))
+    partial[1:] = np.cumsum(restricted.values[:, :, j], axis=0)
+    overflow = np.zeros(size)
+    overflow[kernel.space.overflow] = 1.0
+    routes = {
+        "direct": stopped_hitting_column(kernel, stopping, r, t_max),
+        "formula": formula,
+        "restricted": partial,
+    }
+    return routes, np.array([overflow, *kernel.backward(overflow, t_max)])
+
+
+def table_values(kernel, stopping, n, r, t_list):
+    """{(t, method): q} from one ``absorption_table`` call for start n."""
+    table = absorption_table(kernel, stopping, [n], r, t_list)
+    return {(row.t, row.method): row.q for row in table.rows}
+
+
+def stopped_matrix(kernel, stopping):
+    """The stopped chain's kernel: stopping rows made absorbing."""
+    pin = [kernel.space.ordinal(s) for s in stopping]
+    matrix = kernel.matrix.copy()
+    matrix[pin] = 0.0
+    matrix[pin, pin] = 1.0
+    return matrix
 
 
 class TestEnumerateStates:
@@ -97,7 +131,7 @@ class TestStateSpaceRank:
     def test_order_matches_recursive_reference(self, k, cap):
         space = enumerate_states(k, cap)
         reference = graded_lex_states(k, cap)
-        assert space.states_array().tolist() == [list(c) for c in reference]
+        assert space.counts.tolist() == [list(c) for c in reference]
         assert [s.counts for s in space.states] == reference
         assert space.index == {c: i for i, c in enumerate(reference)}
 
@@ -121,9 +155,9 @@ class TestStateSpaceRank:
 
     def test_states_array_read_only(self):
         space = enumerate_states(3, 5)
-        assert space.states_array() is space.states_array()
+        assert not space.counts.flags.writeable
         with pytest.raises(ValueError):
-            space.states_array()[1, 0] = 7
+            space.counts[1, 0] = 7
 
 
 class TestOneStepKernel:
@@ -188,45 +222,41 @@ class TestOneStepKernel:
 
 
 class TestTStepKernel:
-    def test_t_equals_one_unchanged(self, m1):
-        model, _ = m1
-        kernel = one_step_kernel(model, enumerate_states(1, 8))
-        assert t_step_kernel(kernel, 1) is kernel or np.array_equal(
-            t_step_kernel(kernel, 1).matrix, kernel.matrix
-        )
+    """Powers of the one-step kernel."""
 
     def test_two_step_hand_value(self, m1):
         # P(2 steps, 1 -> 0) = 0.7 + 0.3 * 0.49 = 0.847
         model, _ = m1
         kernel = one_step_kernel(model, enumerate_states(1, 16))
-        two = t_step_kernel(kernel, 2)
+        two = np.linalg.matrix_power(kernel.matrix, 2)
         space = kernel.space
-        assert two.matrix[space.ordinal(S((1,))), 0] == pytest.approx(0.847, abs=1e-15)
+        assert two[space.ordinal(S((1,))), 0] == pytest.approx(0.847, abs=1e-15)
 
     def test_composition_associative(self, m2):
         model, _ = m2
         kernel = one_step_kernel(model, enumerate_states(2, 8))
-        lhs = compose(kernel, t_step_kernel(kernel, 2))
-        rhs = compose(t_step_kernel(kernel, 2), kernel)
-        assert np.max(np.abs(lhs.matrix - rhs.matrix)) <= 1e-12
-        assert lhs.t == rhs.t == 3
+        two = np.linalg.matrix_power(kernel.matrix, 2)
+        lhs = kernel.matrix @ two
+        rhs = two @ kernel.matrix
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_chapman_kolmogorov_random_splits(self, m2):
         model, _ = m2
         kernel = one_step_kernel(model, enumerate_states(2, 10))
+        K = kernel.matrix
         rng = np.random.default_rng(7)
         for _ in range(5):
             t1, t2 = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            both = t_step_kernel(kernel, t1 + t2)
-            split = compose(t_step_kernel(kernel, t1), t_step_kernel(kernel, t2))
-            assert np.max(np.abs(both.matrix - split.matrix)) <= 1e-12
+            both = np.linalg.matrix_power(K, t1 + t2)
+            split = np.linalg.matrix_power(K, t1) @ np.linalg.matrix_power(K, t2)
+            assert np.max(np.abs(both - split)) <= 1e-12
 
     def test_matches_bruteforce_distribution(self, m2):
         model, _ = m2
         space = enumerate_states(2, 14)
         kernel = one_step_kernel(model, space)
         exact = free_distribution(model, (1, 1), 3)
-        v = distribution_after(kernel, S((1, 1)), 3)
+        *_, v = kernel.forward(S((1, 1)), 3)
         for counts, p in exact.items():
             assert v[space.ordinal(S(counts))] == pytest.approx(p, abs=1e-13)
 
@@ -246,13 +276,13 @@ class TestPropagation:
     def test_pinned_backward_is_stopped_chain(self, request, name, cap, start):
         model, stopping = request.getfixturevalue(name)
         kernel = one_step_kernel(model, enumerate_states(model.k, cap))
-        stopped = stopped_kernel(kernel, stopping)
+        stopped = stopped_matrix(kernel, stopping)
         pin = [kernel.space.ordinal(s) for s in stopping]
-        powers = kernel.backward(np.eye(kernel.space.size), 30, pin=pin)
-        for l, power in enumerate(powers, 1):
-            for state in (S(start), *stopping):
-                row = distribution_after(stopped, state, l)
-                assert np.max(np.abs(power[kernel.space.ordinal(state)] - row)) <= 1e-14
+        states = [kernel.space.ordinal(s) for s in (S(start), *stopping)]
+        rows = np.eye(kernel.space.size)[states]
+        for power in kernel.backward(np.eye(kernel.space.size), 30, pin=pin):
+            rows = rows @ stopped
+            assert np.max(np.abs(power[states] - rows)) <= 1e-14
 
 
 class TestRestrictedKernel:
@@ -354,59 +384,61 @@ class TestStopCoefficients:
         assert abs(short.limit(r, r) - long.limit(r, r)) <= bound
 
 
+ROUTES = ("direct", "formula", "restricted")
+
+
 class TestAbsorptionRoutes:
     def test_m1_single_step(self, m1):
         model, stopping = m1
         kernel = one_step_kernel(model, enumerate_states(1, 20))
-        assert absorb_direct(kernel, stopping, S((1,)), S((2,)), 1) == pytest.approx(
-            0.3, abs=1e-15
-        )
+        q = table_values(kernel, stopping, S((1,)), S((2,)), [1])
+        for method in ROUTES:
+            assert q[1, method] == pytest.approx(0.3, abs=1e-15), method
 
     def test_m1_any_horizon_is_03(self, m1):
         # from one particle every path either dies at 0 or stops at (2) in
         # exactly one step, so the probability is 0.3 for every t
         model, stopping = m1
         kernel = one_step_kernel(model, enumerate_states(1, 20))
+        q = table_values(kernel, stopping, S((1,)), S((2,)), [1, 2, 5, 30])
         for t in (1, 2, 5, 30):
-            assert absorb_direct(kernel, stopping, S((1,)), S((2,)), t) == pytest.approx(
-                0.3, abs=1e-14
-            )
+            for method in ROUTES:
+                assert q[t, method] == pytest.approx(0.3, abs=1e-14), (t, method)
 
     def test_start_inside_stopping_set_rejected(self, m1):
         model, stopping = m1
         kernel = one_step_kernel(model, enumerate_states(1, 20))
         with pytest.raises(ValueError, match="inside the stopping set"):
-            absorb_direct(kernel, stopping, S((2,)), S((2,)), 3)
+            absorption_table(kernel, stopping, [S((2,))], S((2,)), [3])
         with pytest.raises(ValueError, match="zero state"):
-            absorb_direct(kernel, stopping, S((0,)), S((2,)), 3)
+            absorption_table(kernel, stopping, [S((0,))], S((2,)), [3])
 
     def test_start_beyond_cap_rejected(self, m1):
         model, stopping = m1
         kernel = one_step_kernel(model, enumerate_states(1, 20))
         with pytest.raises(CapacityError, match="above the cap 20"):
-            absorb_direct(kernel, stopping, S((21,)), S((2,)), 3)
+            absorption_table(kernel, stopping, [S((21,))], S((2,)), [3])
 
     def test_direct_matches_bruteforce(self, m2):
         model, stopping = m2
         kernel = one_step_kernel(model, enumerate_states(2, 14))
+        q = table_values(kernel, stopping, S((0, 2)), S((1, 0)), [1, 2, 3])
         for t in (1, 2, 3):
             oracle = stopped_distribution(model, (0, 2), {(1, 0)}, t).get((1, 0), 0.0)
-            got = absorb_direct(kernel, stopping, S((0, 2)), S((1, 0)), t)
-            assert got == pytest.approx(oracle, abs=1e-13)
+            for method in ROUTES:
+                assert q[t, method] == pytest.approx(oracle, abs=1e-13), (t, method)
 
     def test_three_routes_agree(self, m2):
         model, stopping = m2
         kernel = one_step_kernel(model, enumerate_states(2, 16))
         t_max = 10
-        restricted = restricted_kernel(kernel, stopping, t_max)
-        coeffs = stop_coefficients(restricted)
         n, r = S((0, 2)), S((1, 0))
+        routes, _ = route_references(kernel, stopping, r, t_max)
+        s = kernel.space.ordinal(n)
         for t in range(1, t_max + 1):
-            direct = absorb_direct(kernel, stopping, n, r, t)
-            formula = absorb_via_formula(kernel, coeffs, n, r, t)
-            partial = absorb_via_restricted(restricted, n, r, t)
-            assert abs(direct - formula) <= 1e-10
-            assert abs(direct - partial) <= 1e-12
+            direct = routes["direct"][t, s]
+            assert abs(direct - routes["formula"][t, s]) <= 1e-10
+            assert abs(direct - routes["restricted"][t, s]) <= 1e-12
 
     def test_monotone_in_horizon(self, m2):
         model, stopping = m2
@@ -421,8 +453,8 @@ class TestAbsorptionRoutes:
         model, stopping = m2
         space = enumerate_states(2, 10)
         kernel = one_step_kernel(model, space)
-        stopped = stopped_kernel(kernel, stopping)
-        v = distribution_after(stopped, S((0, 2)), 12)
+        stopped = stopped_matrix(kernel, stopping)
+        v = np.linalg.matrix_power(stopped, 12)[space.ordinal(S((0, 2)))]
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
         stop_ords = [space.ordinal(m) for m in stopping]
         parts = (
@@ -443,7 +475,8 @@ class TestAbsorptionRoutes:
         values = []
         for cap in (4, 8, 16, 32):
             kernel = one_step_kernel(model, enumerate_states(1, cap))
-            values.append(absorb_direct(kernel, stopping, n, r, t))
+            column = stopped_hitting_column(kernel, stopping, r, t)
+            values.append(column[t, kernel.space.ordinal(n)])
         for small, big in zip(values, values[1:]):
             assert small <= big + 1e-12
 
@@ -465,7 +498,7 @@ class TestLimitingAbsorption:
         kernel = one_step_kernel(model, enumerate_states(2, 24))
         n, r = S((0, 2)), S((1, 0))
         [result] = limiting_absorptions(kernel, stopping, summary, [n], r, tol=1e-11)
-        oracle = absorb_direct(kernel, stopping, n, r, 200)
+        oracle = stopped_hitting_column(kernel, stopping, r, 200)[200, kernel.space.ordinal(n)]
         assert result.value == pytest.approx(oracle, abs=max(1e-10, result.tail_bound))
 
     def test_supercritical_rejected(self, supercritical):
@@ -551,6 +584,7 @@ def assert_matches_dense(model, stopping, cap, starts, tol=1e-10):
         for n, got, want in zip(starts, free, dense):
             assert got.tail_bound <= tol
             assert got.overflow_mass == 0.0
+            assert 0.0 <= got.value <= 1.0
             assert abs(got.value - want.value) <= (
                 got.tail_bound + want.tail_bound + want.overflow_mass), (n.label(), r.label())
 
@@ -725,32 +759,25 @@ class TestAbsorptionTable:
 
 
 def assert_table_matches_routes(model, stopping, cap, t_list=(1, 4, 8), n_starts=24):
-    """Every row of ``absorption_table`` against the route function that
-    propagates on its own (``absorb_direct``, ``absorb_via_formula``,
-    ``absorb_via_restricted``), and its overflow bound against the free
-    chain's overflow mass, within 1e-13, for every target in S."""
+    """Every row of ``absorption_table`` against its route on its own
+    backward table (``route_references``), and its overflow bound against
+    the free chain's overflow mass, within 1e-13, for every target in S."""
     space = enumerate_states(model.k, cap)
     kernel = one_step_kernel(model, space)
     starts = [space.state(i) for i in range(1, space.n_states)]
     starts = [n for n in starts if n not in stopping][:n_starts]
     assert len(starts) >= 20
-    restricted = restricted_kernel(kernel, stopping, max(t_list))
-    coefficients = stop_coefficients(restricted)
     for r in stopping.sorted_members():
+        routes, overflow = route_references(kernel, stopping, r, max(t_list))
         rows = iter(absorption_table(kernel, stopping, starts, r, list(t_list)).rows)
         for n in starts:
+            s = space.ordinal(n)
             for t in t_list:
-                want = {
-                    "direct": absorb_direct(kernel, stopping, n, r, t),
-                    "formula": absorb_via_formula(kernel, coefficients, n, r, t),
-                    "restricted": absorb_via_restricted(restricted, n, r, t),
-                }
-                overflow = distribution_after(kernel, n, t)[space.overflow]
-                for method in ("direct", "formula", "restricted"):
+                for method in ROUTES:
                     row = next(rows)
                     assert (row.n, row.r, row.t, row.method) == (n, r, t, method)
-                    assert abs(row.q - want[method]) <= 1e-13
-                    assert abs(row.overflow_bound - overflow) <= 1e-13
+                    assert abs(row.q - routes[method][t, s]) <= 1e-13
+                    assert abs(row.overflow_bound - overflow[t, s]) <= 1e-13
         assert next(rows, None) is None
 
 

@@ -4,7 +4,6 @@ import pytest
 from stopbp import genfun
 from stopbp.exact_engine import (
     CapacityError,
-    distribution_after,
     enumerate_states,
     one_step_kernel,
 )
@@ -145,7 +144,7 @@ class TestIterateH:
         kernel = one_step_kernel(model, space)
         for i in (1, 2):
             for t in (1, 3, 6, 10):
-                v = distribution_after(kernel, unit_state(i, 2), t)
+                *_, v = kernel.forward(unit_state(i, 2), t)
                 ev = iterate_h(model, t, np.zeros(2))
                 assert ev.h[i - 1] == pytest.approx(
                     float(v[0]), abs=1e-12 + float(v[space.overflow])
@@ -385,7 +384,7 @@ class TestYaglomResidual:
         data = yaglom(model, space, 1, t)
         grid = make_s_grid(model.k, 50)
         for s in (grid, eval_h(model, grid)):
-            powers = s[:, None, :] ** space.states_array()[None, :, :].astype(float)
+            powers = s[:, None, :] ** space.counts[None, :, :].astype(float)
             want = powers.prod(axis=2) @ data.p[: space.n_states]
             assert np.array_equal(h_star(data, s), want)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stopbp.montecarlo as mc
-from stopbp.exact_engine import absorb_direct, enumerate_states, one_step_kernel
+from stopbp.exact_engine import enumerate_states, one_step_kernel, stopped_hitting_column
 from stopbp.genfun import iterate_survival, yaglom
 from stopbp.model import PopulationState, StoppingSet
 from stopbp.montecarlo import (
@@ -243,7 +243,8 @@ class TestEstimateAbsorption:
     def test_m2_matches_exact_engine(self, m2):
         model, stopping = m2
         kernel = one_step_kernel(model, enumerate_states(2, 40))
-        exact = absorb_direct(kernel, stopping, S((0, 2)), S((1, 0)), 10)
+        column = stopped_hitting_column(kernel, stopping, S((1, 0)), 10)
+        exact = column[10, kernel.space.ordinal(S((0, 2)))]
         est = estimate_absorption(S((0, 2)), S((1, 0)), stopping, model, 10, 100_000, 7)
         assert est.within(exact)
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from stopbp.exact_engine import (
-    absorb_direct,
     enumerate_states,
     hitting_columns,
     one_step_kernel,
@@ -110,7 +109,7 @@ def test_overflow_bound_is_honest(seed):
     for cap in (6, 10, 20):
         space = enumerate_states(2, cap)
         kernel = one_step_kernel(model, space)
-        values[cap] = absorb_direct(kernel, stopping, n, r, t)
+        values[cap] = stopped_hitting_column(kernel, stopping, r, t)[t, space.ordinal(n)]
         v = np.zeros(space.size)
         v[space.ordinal(n)] = 1.0
         for _ in range(t):

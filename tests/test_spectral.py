@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stopbp.exact_engine import distribution_after, enumerate_states, one_step_kernel
+from stopbp.exact_engine import enumerate_states, one_step_kernel
 from stopbp.model import BranchingModel, OffspringLaw, PopulationState, unit_state
 from stopbp.spectral import (
     MomentData,
@@ -53,7 +53,7 @@ class TestFirstMoments:
         model, _ = m2
         space = enumerate_states(2, 10)
         kernel = one_step_kernel(model, space)
-        counts = space.states_array()
+        counts = space.counts
         A = first_moments(model)
         for i in (1, 2):
             row = kernel.row(unit_state(i, 2))
@@ -385,7 +385,7 @@ class TestCrossModule:
         kernel = one_step_kernel(model, enumerate_states(1, 40))
         sc = survival_constant(model, 1, 12)
         for l in (1, 3, 6, 12):
-            v = distribution_after(kernel, PopulationState((1,)), l)
+            *_, v = kernel.forward(PopulationState((1,)), l)
             survival = sc.estimates[l - 1] * 0.6**l
             assert v[1:].sum() == pytest.approx(survival, rel=1e-10)
 
