@@ -9,7 +9,7 @@ truncation error bound against the uncapped model.
 The paper gives three routes to the absorption probability q(n -> r, t):
 the stopped chain, the stop-coefficient expansion over free-chain hitting
 probabilities, and the partial sums of first-passage (restricted)
-transition probabilities.  ``absorption_table`` computes all three.
+transition probabilities.
 
 The state space is one read-only (S, k) count array in graded-lex order.
 An ordinal is the rank of a count vector in the combinatorial number system
