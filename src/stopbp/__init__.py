@@ -41,7 +41,6 @@ from stopbp.genfun import (
     iterate_h,
     iterate_survival,
     make_s_grid,
-    mean_dominance,
     ratio_limit,
     yaglom,
     yaglom_residual,
@@ -81,7 +80,6 @@ __all__ = [
     "iterate_survival",
     "load_model",
     "make_s_grid",
-    "mean_dominance",
     "moment_asymptotics",
     "moments",
     "one_step_kernel",

@@ -42,11 +42,8 @@ class HjValue:
     and the floating-point summation error of the window itself.
     """
 
-    j: int
-    x: float
     value: float
     tail_bound: float
-    window: tuple[int, int]
 
 
 def eval_Hj(
@@ -95,13 +92,7 @@ def eval_Hj(
         )
     lower = first / (1.0 - rho) if first > 0.0 else 0.0
     rounding = 2.0 * np.finfo(float).eps * math.fsum(np.abs(terms).tolist())
-    return HjValue(
-        j=j,
-        x=x,
-        value=value,
-        tail_bound=upper + lower + rounding,
-        window=(L_lo, L_hi),
-    )
+    return HjValue(value=value, tail_bound=upper + lower + rounding)
 
 
 @dataclass(eq=False)
@@ -109,9 +100,7 @@ class CyclicModel:
     """Ingredients of the period-1 limit function H(x) = sum_j c_j H_j(x)."""
 
     delta: float
-    a: np.ndarray  # limiting type composition, sums to 1
-    K: np.ndarray  # per-type survival constants
-    aK: float
+    aK: float  # survival constants weighted by the limiting type composition
     r0: int  # largest stopping-state total; number of basis functions
     L_lo: int
     L_hi: int
@@ -155,8 +144,6 @@ def build_cyclic_model(
         raise ValueError(f"aK = {aK} must be positive")
     return CyclicModel(
         delta=float(summary.delta),
-        a=a,
-        K=np.asarray(summary.K, dtype=float),
         aK=aK,
         r0=stopping.max_total,
         L_lo=L_lo,
@@ -298,28 +285,21 @@ def periodicity_probe(
 class AmplitudeFit:
     amplitudes: np.ndarray
     rms_residual: float
-    design_rank: int
 
 
-def fit_cyclic_amplitudes(
-    probe: ProbeReport,
-    cyclic: CyclicModel,
-    rows: Optional[Sequence[ProbeRow]] = None,
-) -> AmplitudeFit:
+def fit_cyclic_amplitudes(probe: ProbeReport, cyclic: CyclicModel) -> AmplitudeFit:
     """Least-squares amplitudes for the basis against probe values.
 
     Solves (X'X + RIDGE I) c = X'q on the basis design matrix; raises when
     the design matrix is rank deficient (probe x-values too clustered to
     separate the basis functions).  Stores the amplitudes on ``cyclic``.
     """
-    if rows is None:
-        rows = probe.rows
-    if len(rows) < 2 * cyclic.r0:
+    if len(probe.rows) < 2 * cyclic.r0:
         raise ValueError(
             f"need at least {2 * cyclic.r0} rows to fit {cyclic.r0} amplitudes"
         )
-    X = np.array([cyclic.basis(row.x_frac) for row in rows])
-    q = np.array([row.q for row in rows])
+    X = np.array([cyclic.basis(row.x_frac) for row in probe.rows])
+    q = np.array([row.q for row in probe.rows])
     rank = int(np.linalg.matrix_rank(X))
     if rank < cyclic.r0:
         raise RankDeficiencyError(
@@ -329,4 +309,4 @@ def fit_cyclic_amplitudes(
     c = np.linalg.solve(gram, X.T @ q)
     residual = float(np.sqrt(np.mean((q - X @ c) ** 2)))
     cyclic.amplitudes = c
-    return AmplitudeFit(amplitudes=c, rms_residual=residual, design_rank=rank)
+    return AmplitudeFit(amplitudes=c, rms_residual=residual)

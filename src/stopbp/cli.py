@@ -12,19 +12,17 @@ or too large for the run (``CapacityError``).  Set BP_LOG=debug|info|warning for
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import math
 import os
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from stopbp import asymptotics, exact_engine, genfun, montecarlo, spectral
+from stopbp import asymptotics, exact_engine, genfun, invariants, montecarlo, spectral
 from stopbp.builtin_models import builtin
 from stopbp.model import (
     BranchingModel,
@@ -45,20 +43,6 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 
-_CONFIG_KEYS = {
-    "model", "stop_set", "cap", "t", "tol", "seed", "reps", "workers", "out",
-    "n", "r", "j", "a", "n_grid", "what",
-}
-
-_DEFAULTS = {
-    "cap": 200,
-    "t": 30,
-    "tol": 1e-9,
-    "seed": 0,
-    "reps": 100_000,
-    "workers": 1,
-}
-
 
 class UsageError(ValueError):
     """Input or configuration problem; maps to exit code 2."""
@@ -71,12 +55,12 @@ class RunConfig:
     command: str
     model: Optional[str] = None
     stop_set: Optional[str] = None
-    cap: int = _DEFAULTS["cap"]
-    t: int = _DEFAULTS["t"]
-    tol: float = _DEFAULTS["tol"]
-    seed: int = _DEFAULTS["seed"]
-    reps: int = _DEFAULTS["reps"]
-    workers: int = _DEFAULTS["workers"]
+    cap: int = 200
+    t: int = 30
+    tol: float = 1e-9
+    seed: int = 0
+    reps: int = 100_000
+    workers: int = 1
     out: Optional[str] = None
     n: Optional[str] = None
     r: Optional[str] = None
@@ -91,6 +75,9 @@ class RunConfig:
                 raise UsageError(f"--{name.replace('_', '-')} must be positive")
         if self.tol <= 0:
             raise UsageError("--tol must be positive")
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -349,117 +336,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
     raise UsageError(f"--what must be absorption or yaglom, got {cfg.what!r}")
 
 
-def _verify_checks(model: BranchingModel, stopping: StoppingSet, cfg: RunConfig):
-    """Yield (name, callable) pairs; callables return (ok, detail)."""
-    cap = min(cfg.cap, 30) if model.k > 1 else min(cfg.cap, 200)
-    space = exact_engine.enumerate_states(model.k, cap)
-    kernel = exact_engine.one_step_kernel(model, space)
-    summary = spectral.classify(spectral.moments(model))
-    perron_ready = summary.period == 1  # indecomposable and aperiodic
-    subcritical = perron_ready and summary.criticality == "subcritical"
-
-    def check_rows():
-        try:
-            kernel.validate(tol=1e-12)
-        except ArithmeticError as exc:
-            return False, str(exc)
-        return True, "rows stochastic within 1e-12"
-
-    def check_ck():
-        powers = [kernel.matrix]  # K, K^2, ..., K^5, each one product from the last
-        for _ in range(4):
-            powers.append(powers[-1] @ kernel.matrix)
-        worst = float(np.max(np.abs(powers[4] - powers[1] @ powers[2])))
-        return worst <= 1e-12, f"composition residual {worst:.3g}"
-
-    @functools.cache
-    def restricted():
-        return exact_engine.restricted_kernel(kernel, stopping, 8)
-
-    def check_first_passage_identity():
-        a = restricted().values
-        b = exact_engine.restricted_via_inclusion_exclusion(kernel, stopping, 8)
-        worst = float(np.max(np.abs(a - b)))
-        return worst <= 1e-12, f"dual-route gap {worst:.3g}"
-
-    def check_restricted_dominated():
-        table = restricted()
-        free = exact_engine.hitting_columns(kernel, table.targets, 8)
-        worst = float(np.max(table.values - free[1:]))
-        return worst <= 1e-12, f"max excess {worst:.3g}"
-
-    def check_three_routes():
-        r = stopping.sorted_members()[0]
-        starts = [space.state(i) for i in range(1, min(space.n_states, 25))]
-        starts = [s for s in starts if s not in stopping]
-        table = exact_engine.absorption_table(kernel, stopping, starts, r, [1, 4, 8])
-        # one row per route (direct, formula, restricted) for each start and t
-        q = np.array([row.q for row in table.rows]).reshape(-1, 3)
-        worst = float(np.abs(q[:, 1:] - q[:, :1]).max(initial=0.0))
-        return worst <= 1e-10, f"worst route gap {worst:.3g}"
-
-    def check_monotone():
-        r = stopping.sorted_members()[0]
-        col = exact_engine.stopped_hitting_column(kernel, stopping, r, 15)
-        worst = float(np.min(np.diff(col, axis=0)))
-        return worst >= -1e-15, f"min increment {worst:.3g}"
-
-    def check_semigroup():
-        s = np.random.default_rng(0).uniform(0, 1, size=(20, model.k))
-        lhs = genfun.iterate_h(model, 7, s).h
-        rhs = genfun.iterate_h(model, 3, genfun.iterate_h(model, 4, s).h).h
-        worst = float(np.max(np.abs(lhs - rhs)))
-        return worst <= 1e-12, f"worst semigroup gap {worst:.3g}"
-
-    def check_survival_bounds():
-        rng = np.random.default_rng(1)
-        s = rng.uniform(0, 1, size=(200, model.k))
-        ok = True
-        for t in (1, 5, 15):
-            ev = genfun.iterate_h(model, t, s)
-            ok &= bool(np.all(ev.R >= -1e-15) and np.all(ev.R <= ev.Q + 1e-12))
-        return ok, "0 <= R(t,s) <= Q(t)"
-
-    def check_mean_dominance():
-        violation = genfun.mean_dominance(model, genfun.make_s_grid(model.k, 200))
-        return violation <= 1e-12, f"worst violation {violation:.3g}"
-
-    def check_perron():
-        if not perron_ready:
-            return True, "skipped: decomposable or periodic"
-        worst = max(summary.residual_f, summary.residual_nu)
-        return worst <= 1e-10, f"eigen residual {worst:.3g}"
-
-    def check_survival_constants():
-        if not subcritical:
-            return True, "skipped: not subcritical"
-        K = spectral.survival_constants(model, 50, summary)
-        return bool(np.all(K > 0)), f"K = {np.array2string(K, precision=4)}"
-
-    def check_extinction_cross_module():
-        worst = 0.0
-        for i in range(1, model.k + 1):
-            *_, v = kernel.forward(unit_state(i, model.k), 6)  # the row e_i K^6
-            h = genfun.iterate_h(model, 6, np.zeros(model.k)).h[i - 1]
-            worst = max(worst, abs(float(v[0]) - float(h)) - float(v[space.overflow]))
-        return worst <= 1e-12, f"worst gap beyond overflow {worst:.3g}"
-
-    return [
-        ("kernel rows stochastic", check_rows),
-        ("kernel composition", check_ck),
-        ("first-passage dual route", check_first_passage_identity),
-        ("first-passage dominated by free", check_restricted_dominated),
-        ("three absorption routes agree", check_three_routes),
-        ("absorption monotone in horizon", check_monotone),
-        ("generating map semigroup", check_semigroup),
-        ("survival inequalities", check_survival_bounds),
-        ("mean dominance", check_mean_dominance),
-        ("Perron residuals", check_perron),
-        ("survival constants positive", check_survival_constants),
-        ("extinction matches generating map", check_extinction_cross_module),
-    ]
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.model is not None:
         pairs = [(cfg.model, *_load(cfg))]
@@ -468,10 +344,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     failures = 0
     for label, model, stopping in pairs:
         stopping = _need_stopping(stopping)
-        for name, check in _verify_checks(model, stopping, cfg):
-            start = time.perf_counter()
-            ok, detail = check()
-            elapsed = time.perf_counter() - start
+        for name, ok, detail, elapsed in invariants.run(model, stopping, cfg.cap):
             status = "PASS" if ok else "FAIL"
             print(f"[{status}] {label}: {name} ({detail}) [{elapsed:.3f}s]")
             failures += 0 if ok else 1

@@ -14,8 +14,7 @@ transition probabilities.
 The state space is one read-only (S, k) count array in graded-lex order.
 An ordinal is the rank of a count vector in the combinatorial number system
 of that order (``StateSpace.ordinals``), so enumeration, the atom shift
-tables and each kernel row's parent are array operations; the tuples of
-``StateSpace.states`` and ``StateSpace.index`` are built only when asked for.
+tables and each kernel row's parent are array operations.
 
 ``absorption_table``, behind ``stopbp stop-prob`` and the verify battery,
 computes all three routes from one forward block of rows, multiplied by the
@@ -46,7 +45,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -89,9 +87,8 @@ class StateSpace:
     """All population vectors with total <= cap, graded-lex ordered.
 
     ``counts`` holds the vectors as one read-only (n_states, k) integer
-    array in ordinal order; ``states`` and ``index`` are views of it built
-    on first use.  Ordinal ``n_states`` is the absorbing overflow sentinel.
-    The zero state always has ordinal 0.
+    array in ordinal order.  Ordinal ``n_states`` is the absorbing overflow
+    sentinel, and the zero state always has ordinal 0.
     """
 
     k: int
@@ -117,14 +114,6 @@ class StateSpace:
     def size(self) -> int:
         """Number of ordinals including the overflow sentinel."""
         return len(self.counts) + 1
-
-    @cached_property
-    def states(self) -> tuple[PopulationState, ...]:
-        return tuple(PopulationState(tuple(row)) for row in self.counts.tolist())
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {tuple(row): i for i, row in enumerate(self.counts.tolist())}
 
     def ordinals(self, counts) -> np.ndarray:
         """Ordinals of the count vectors along the last axis of ``counts``,
@@ -211,9 +200,6 @@ class TransitionKernel:
         low = float(self.matrix.min())
         if low < -tol:
             raise ArithmeticError(f"negative kernel entry {low:.3e}")
-
-    def row(self, state: PopulationState) -> np.ndarray:
-        return self.matrix[self.space.ordinal(state)]
 
     def forward(self, start: PopulationState, steps: int):
         """Yield the rows e_start K^l for l = 1..steps, one vector-matrix
@@ -331,25 +317,11 @@ class RestrictedKernel:
     1..t-1.  Targets are the stopping members in graded-lex order.
     """
 
-    space: StateSpace
     stopping: StoppingSet
     targets: tuple[PopulationState, ...]
     target_ordinals: tuple[int, ...]
     t_max: int
     values: np.ndarray
-
-    def column_index(self, r: PopulationState) -> int:
-        try:
-            return self.targets.index(r)
-        except ValueError:
-            raise ValueError(f"{r.label()} is not a stopping state") from None
-
-    def value(self, t: int, alpha: PopulationState, r: PopulationState) -> float:
-        if not 1 <= t <= self.t_max:
-            raise ValueError(f"t={t} outside tabulated range 1..{self.t_max}")
-        return float(
-            self.values[t - 1, self.space.ordinal(alpha), self.column_index(r)]
-        )
 
 
 def _stopping_ordinals(space: StateSpace, stopping: Iterable[PopulationState]) -> list[int]:
@@ -382,7 +354,6 @@ def restricted_kernel(
     for t, cols in enumerate(kernel.backward(cols, t_max, mask=ordinals)):
         values[t] = cols
     return RestrictedKernel(
-        space=space,
         stopping=stopping,
         targets=targets,
         target_ordinals=tuple(ordinals),
@@ -429,29 +400,9 @@ class StopCoefficients:
     large-t limits c_inf, truncated at the first-passage horizon.
     """
 
-    stopping: StoppingSet
     states: tuple[PopulationState, ...]
-    t_max: int
     first_column: np.ndarray  # (n_alpha, n_r, t_max), [a, r, t-1] = c(t, 1)
     limits: np.ndarray  # (n_alpha, n_r)
-
-    def _pair(self, alpha: PopulationState, r: PopulationState) -> tuple[int, int]:
-        try:
-            return self.states.index(alpha), self.states.index(r)
-        except ValueError:
-            raise ValueError("both states must belong to the stopping set") from None
-
-    def value(self, alpha: PopulationState, r: PopulationState, t: int, l: int) -> float:
-        if not 1 <= l <= t:
-            raise ValueError(f"need 1 <= l <= t, got l={l}, t={t}")
-        if t - l + 1 > self.t_max:
-            raise ValueError(f"t-l+1={t - l + 1} beyond tabulated {self.t_max}")
-        a, b = self._pair(alpha, r)
-        return float(self.first_column[a, b, t - l])
-
-    def limit(self, alpha: PopulationState, r: PopulationState) -> float:
-        a, b = self._pair(alpha, r)
-        return float(self.limits[a, b])
 
 
 def geometric_tail_bound(summary, counts: Sequence[int], after: int) -> float:
@@ -500,9 +451,7 @@ def stop_coefficients(restricted: RestrictedKernel) -> StopCoefficients:
         first_column[:, :, t - 1] = ident - cum[:, :, t - 1]
 
     return StopCoefficients(
-        stopping=restricted.stopping,
         states=states,
-        t_max=t_max,
         first_column=first_column,
         limits=ident - cum[:, :, t_max],
     )

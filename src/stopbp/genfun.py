@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,59 +79,24 @@ def survival_map(model: BranchingModel, r) -> np.ndarray:
     return out.reshape(r.shape)
 
 
-def iterate_survival(model: BranchingModel, t: int, s=None, r0=None) -> np.ndarray:
-    """Survival vector 1 - h(t, s), iterated in survival form.
-
-    Start either from an argument ``s`` (r0 = 1 - s) or directly from a
-    survival vector ``r0``.
-    """
-    if (s is None) == (r0 is None):
-        raise ValueError("give exactly one of s or r0")
-    if r0 is None:
-        s = np.asarray(s, dtype=float)
-        _check_unit_box(s, model.k)
-        r = 1.0 - s
-    else:
-        r = np.asarray(r0, dtype=float).copy()
+def iterate_survival(model: BranchingModel, t: int, r) -> np.ndarray:
+    """Survival vector 1 - h(t, 1 - r) from the survival vector r, iterated
+    in survival form."""
+    r = np.array(r, dtype=float)
     for _ in range(t):
         r = survival_map(model, r)
     return r
 
 
-@dataclass(eq=False)
-class GenFunEvaluation:
-    """Value of the t-step generating map with its survival companions.
-
-    ``h`` comes from plain t-fold composition; ``R`` = 1 - h(t, s) and
-    ``Q`` = 1 - h(t, 0) are iterated in survival form on first read, so R
-    and 1 - h agree only up to accumulated rounding once survival drops near
-    epsilon.
-    """
-
-    model: BranchingModel
-    t: int
-    s: np.ndarray
-    h: np.ndarray
-
-    @cached_property
-    def R(self) -> np.ndarray:
-        return iterate_survival(self.model, self.t, s=self.s)
-
-    @cached_property
-    def Q(self) -> np.ndarray:
-        return iterate_survival(self.model, self.t, r0=np.ones(self.model.k))
-
-
-def iterate_h(model: BranchingModel, t: int, s) -> GenFunEvaluation:
-    """t-fold composition of the generating map, plus survival vectors."""
+def iterate_h(model: BranchingModel, t: int, s) -> np.ndarray:
+    """t-fold composition h(t, s) of the generating map, in plain form."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    s = np.array(s, dtype=float)  # a copy: R is iterated from it on first read
-    _check_unit_box(s, model.k)
-    h = s.copy()
+    h = np.array(s, dtype=float)
+    _check_unit_box(h, model.k)
     for _ in range(t):
         h = eval_h(model, h)
-    return GenFunEvaluation(model=model, t=t, s=s, h=h)
+    return h
 
 
 LAW_BLOCK_BYTES = 1 << 21  # working memory of one block of ``truncated_laws``
@@ -369,26 +334,6 @@ def ratio_limit(
     )
 
 
-def mean_dominance(model: BranchingModel, s_grid: np.ndarray, A=None) -> float:
-    """Worst violation of A(1-s) >= 1 - h(s) over the grid (0 when none).
-
-    The one-step survival vector is dominated componentwise by the mean
-    matrix applied to 1 - s; concavity of the generating map makes the
-    difference nonnegative for every s in the unit box.
-    """
-    from stopbp.spectral import first_moments
-
-    if A is None:
-        A = first_moments(model)
-    s_grid = np.atleast_2d(np.asarray(s_grid, dtype=float))
-    _check_unit_box(s_grid, model.k)
-    ones_minus = 1.0 - s_grid
-    lhs = ones_minus @ np.asarray(A, dtype=float).T
-    rhs = survival_map(model, ones_minus)
-    gap = lhs - rhs
-    return float(max(0.0, -gap.min()))
-
-
 # ---------------------------------------------------------------------------
 # Yaglom conditional limit
 
@@ -540,21 +485,12 @@ def yaglom_residual(
     )
 
 
-def single_offspring_matrix(model: BranchingModel) -> np.ndarray:
-    """M[i, j] = probability that a type-i parent leaves exactly one type-j child.
-
-    Positivity of some column entry for every j is the precondition for the
-    conditional-limit law to charge every single-particle state.
-    """
-    k = model.k
-    M = np.zeros((k, k))
-    for i, law in enumerate(model.laws):
-        for state, p in law.atoms:
-            if state.total == 1:
-                M[i, state.counts.index(1)] += p
-    return M
-
-
 def single_offspring_reachable(model: BranchingModel) -> bool:
-    """True when every type appears as some parent's single-child outcome."""
-    return bool(np.all(single_offspring_matrix(model).max(axis=0) > 0.0))
+    """True when every type appears as some parent's single-child outcome:
+    the precondition for the conditional-limit law to charge every
+    single-particle state."""
+    reached = set()
+    for law in model.laws:
+        reached.update(state.counts.index(1) for state, p in law.atoms
+                       if state.total == 1 and p > 0.0)
+    return len(reached) == model.k

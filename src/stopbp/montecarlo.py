@@ -312,24 +312,14 @@ class YaglomEstimate:
         return {k: v / self.survivors for k, v in self.counts.items()}
 
     def tv_distance(self, exact) -> float:
-        """Total-variation distance to an exact conditional law.
-
-        ``exact`` is either a mapping from count tuples to probabilities or
-        an object with ``space``/``p``/``deficit`` attributes (a DP-based
-        conditional law); unseen exact mass counts fully.
-        """
-        if hasattr(exact, "space"):
-            mapping = {
-                exact.space.state(i).counts: float(exact.p[i])
-                for i in np.nonzero(exact.p)[0]
-            }
-            extra = float(getattr(exact, "deficit", 0.0))
-        else:
-            mapping = dict(exact)
-            extra = 0.0
+        """Total-variation distance to an exact conditional law
+        (``genfun.YaglomData``); its deficit and unseen exact mass count fully."""
+        mapping = {
+            exact.space.state(i).counts: float(exact.p[i]) for i in np.nonzero(exact.p)[0]
+        }
         mine = self.distribution()
         keys = set(mapping) | set(mine)
-        tv = sum(abs(mine.get(k, 0.0) - mapping.get(k, 0.0)) for k in keys) + extra
+        tv = sum(abs(mine.get(k, 0.0) - mapping.get(k, 0.0)) for k in keys) + exact.deficit
         return 0.5 * tv
 
 

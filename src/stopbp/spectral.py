@@ -278,6 +278,9 @@ def _survival_constants(
     1 - h directly), so the estimates stay accurate even when the survival
     probability underflows far below machine epsilon relative to 1.  The
     pass iterates the whole survival vector, so one pass serves all types.
+    A survival probability below the smallest normal float has lost its
+    relative precision (and may be 0 while delta^-l is inf), so it raises
+    ``ArithmeticError`` naming the step.
     """
     from stopbp import genfun
 
@@ -287,6 +290,11 @@ def _survival_constants(
     scale = 1.0
     for l in range(l_max):
         r = genfun.survival_map(model, r)
+        if not np.all(r >= np.finfo(float).tiny):
+            raise ArithmeticError(
+                f"survival probability {r.min():.3g} at step {l + 1} is below the "
+                f"smallest normal float; survival constants need l_max <= {l}"
+            )
         scale /= delta
         survivals[:, l] = r
         estimates[:, l] = r * scale

@@ -232,10 +232,7 @@ class TestAmplitudeFit:
         # delta = 0.3 gives a visibly oscillating basis (design condition
         # ~1.7e2); at delta near 1 the two basis functions are numerically
         # collinear and no float64 solver can separate them
-        cyclic = CyclicModel(
-            delta=0.3, a=np.array([1.0]), K=np.array([1.0]), aK=1.0,
-            r0=2, L_lo=-60, L_hi=200,
-        )
+        cyclic = CyclicModel(delta=0.3, aK=1.0, r0=2, L_lo=-60, L_hi=200)
         xs = np.linspace(0.0, 0.975, 40)
         truth = np.array([0.2, 0.05])
         probe = self._synthetic(cyclic, xs, truth)
@@ -277,4 +274,4 @@ class TestAmplitudeFit:
         cyclic = build_cyclic_model(m1_summary_with_k, [1.0], stopping)
         probe = self._synthetic(cyclic, [0.1, 0.6], np.array([0.2, 0.05]))
         with pytest.raises(ValueError, match="at least"):
-            fit_cyclic_amplitudes(probe, cyclic, rows=probe.rows[:2])
+            fit_cyclic_amplitudes(probe, cyclic)

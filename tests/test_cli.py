@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -115,6 +116,18 @@ UNREACHABLE_TEXT = """\
     [{"counts": [0, 0], "p": 0.5407451946875477}, {"counts": [1, 0], "p": 0.4592548053124523}]
   ],
   "stopping_set": [[1, 1], [2, 0]]
+}
+"""
+
+
+# one type with mean 2e-7: the survival probability falls below the smallest
+# normal float at step 46, before the 50 steps of verify's survival constants
+TINY_MEAN_TEXT = """\
+{
+  "version": 1,
+  "types": ["a"],
+  "offspring": [[{"counts": [0], "p": 0.9999999}, {"counts": [2], "p": 1e-7}]],
+  "stopping_set": [[2]]
 }
 """
 
@@ -538,6 +551,19 @@ class TestVerify:
 
     def test_single_model(self, m1_path, capsys):
         assert main(["verify", "--model", m1_path]) == 0
+
+    def test_raising_check_fails_and_the_rest_run(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(TINY_MEAN_TEXT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", "--model", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12
+        [failed] = [line for line in lines if not line.startswith("[PASS]")]
+        assert failed.startswith("[FAIL]") and "survival constants positive" in failed
+        assert "at step 46 is below the smallest normal float" in failed
+        assert "extinction matches generating map" in lines[-1]
 
 
 class TestConfigPrecedence:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stopbp import exact_engine, genfun
+from stopbp import exact_engine, genfun, invariants
 from stopbp.exact_engine import (
     MAX_SERIES_TERMS,
     CapacityError,
@@ -49,7 +49,7 @@ def route_references(kernel, stopping, r, t_max):
     size = kernel.space.size
     restricted = restricted_kernel(kernel, stopping, t_max)
     coeffs = stop_coefficients(restricted)
-    j = restricted.column_index(r)
+    j = restricted.targets.index(r)
     free = hitting_columns(kernel, coeffs.states, t_max)
     formula = np.zeros((t_max + 1, size))
     for t in range(1, t_max + 1):
@@ -85,12 +85,12 @@ def stopped_matrix(kernel, stopping):
 class TestEnumerateStates:
     def test_single_type(self):
         space = enumerate_states(1, 3)
-        assert [s.counts for s in space.states] == [(0,), (1,), (2,), (3,)]
+        assert space.counts.tolist() == [[0], [1], [2], [3]]
 
     def test_two_types_cap_two(self):
         space = enumerate_states(2, 2)
         assert space.n_states == 6
-        assert set(s.counts for s in space.states) == {
+        assert set(map(tuple, space.counts.tolist())) == {
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
         }
 
@@ -102,16 +102,16 @@ class TestEnumerateStates:
 
     def test_graded_lex_and_zero_first(self):
         space = enumerate_states(2, 3)
-        totals = [s.total for s in space.states]
+        totals = space.counts.sum(1).tolist()
         assert totals == sorted(totals)
-        assert space.states[0].counts == (0, 0)
+        assert space.counts[0].tolist() == [0, 0]
         # within a total level, counts ascend lexicographically
-        level = [s.counts for s in space.states if s.total == 2]
+        level = [c for c in space.counts.tolist() if sum(c) == 2]
         assert level == sorted(level)
 
     def test_no_duplicates(self):
         space = enumerate_states(3, 6)
-        assert len({s.counts for s in space.states}) == space.n_states
+        assert len(set(map(tuple, space.counts.tolist()))) == space.n_states
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
@@ -132,8 +132,6 @@ class TestStateSpaceRank:
         space = enumerate_states(k, cap)
         reference = graded_lex_states(k, cap)
         assert space.counts.tolist() == [list(c) for c in reference]
-        assert [s.counts for s in space.states] == reference
-        assert space.index == {c: i for i, c in enumerate(reference)}
 
     @pytest.mark.parametrize("k, cap", RANK_CASES)
     def test_ordinal_rank_round_trip(self, k, cap):
@@ -172,7 +170,7 @@ class TestOneStepKernel:
         model, _ = m1
         space = enumerate_states(1, 6)
         kernel = one_step_kernel(model, space)
-        row = kernel.row(S((1,)))
+        row = kernel.matrix[space.ordinal(S((1,)))]
         assert row[space.ordinal(S((0,)))] == pytest.approx(0.7, abs=1e-15)
         assert row[space.ordinal(S((2,)))] == pytest.approx(0.3, abs=1e-15)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
@@ -182,7 +180,7 @@ class TestOneStepKernel:
         model, _ = m1
         space = enumerate_states(1, 6)
         kernel = one_step_kernel(model, space)
-        row = kernel.row(S((2,)))
+        row = kernel.matrix[space.ordinal(S((2,)))]
         assert row[space.ordinal(S((0,)))] == pytest.approx(0.49, abs=1e-15)
         assert row[space.ordinal(S((2,)))] == pytest.approx(0.42, abs=1e-15)
         assert row[space.ordinal(S((4,)))] == pytest.approx(0.09, abs=1e-15)
@@ -201,7 +199,7 @@ class TestOneStepKernel:
         kernel = one_step_kernel(model, space)
         for counts in [(1, 0), (0, 1), (1, 1), (2, 1), (0, 3)]:
             exact = free_distribution(model, counts, 1)
-            row = kernel.row(S(counts))
+            row = kernel.matrix[space.ordinal(S(counts))]
             for child, p in exact.items():
                 assert row[space.ordinal(S(child))] == pytest.approx(p, abs=1e-14)
             assert row.sum() == pytest.approx(1.0, abs=1e-12)
@@ -210,7 +208,7 @@ class TestOneStepKernel:
         model, _ = m1
         space = enumerate_states(1, 3)  # (2) -> (4) must overflow
         kernel = one_step_kernel(model, space)
-        row = kernel.row(S((2,)))
+        row = kernel.matrix[space.ordinal(S((2,)))]
         assert row[space.overflow] == pytest.approx(0.09, abs=1e-15)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -233,23 +231,19 @@ class TestTStepKernel:
         assert two[space.ordinal(S((1,))), 0] == pytest.approx(0.847, abs=1e-15)
 
     def test_composition_associative(self, m2):
+        # K^3 = (K K) K against K (K K)
         model, _ = m2
         kernel = one_step_kernel(model, enumerate_states(2, 8))
-        two = np.linalg.matrix_power(kernel.matrix, 2)
-        lhs = kernel.matrix @ two
-        rhs = two @ kernel.matrix
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        ok, detail = invariants.kernel_composition(kernel, [(1, 2)], tol=1e-12)
+        assert ok, detail
 
     def test_chapman_kolmogorov_random_splits(self, m2):
         model, _ = m2
         kernel = one_step_kernel(model, enumerate_states(2, 10))
-        K = kernel.matrix
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            t1, t2 = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            both = np.linalg.matrix_power(K, t1 + t2)
-            split = np.linalg.matrix_power(K, t1) @ np.linalg.matrix_power(K, t2)
-            assert np.max(np.abs(both - split)) <= 1e-12
+        splits = [(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(5)]
+        ok, detail = invariants.kernel_composition(kernel, splits, tol=1e-12)
+        assert ok, detail
 
     def test_matches_bruteforce_distribution(self, m2):
         model, _ = m2
@@ -301,7 +295,7 @@ class TestRestrictedKernel:
         model, stopping = m1
         kernel = one_step_kernel(model, enumerate_states(1, 10))
         restricted = restricted_kernel(kernel, stopping, 4)
-        assert restricted.value(2, S((1,)), S((2,))) == 0.0
+        assert restricted.values[1, kernel.space.ordinal(S((1,))), 0] == 0.0
 
     def test_against_bruteforce(self, m2):
         # cap 40 covers every reachable total within 4 steps of the tested
@@ -312,26 +306,23 @@ class TestRestrictedKernel:
         for t in (1, 2, 3, 4):
             for start in [(0, 1), (0, 2), (2, 0), (1, 1)]:
                 oracle = first_passage_probability(model, start, {(1, 0)}, (1, 0), t)
-                assert restricted.value(t, S(start), S((1, 0))) == pytest.approx(
+                assert restricted.values[t - 1, kernel.space.ordinal(S(start)), 0] == pytest.approx(
                     oracle, abs=1e-13
                 ), (t, start)
 
     def test_dominated_by_free_kernel(self, m2):
         model, stopping = m2
         kernel = one_step_kernel(model, enumerate_states(2, 10))
-        t_max = 8
-        restricted = restricted_kernel(kernel, stopping, t_max)
-        free = hitting_columns(kernel, restricted.targets, t_max)
-        for t in range(1, t_max + 1):
-            assert np.all(restricted.values[t - 1] <= free[t] + 1e-12)
+        ok, detail = invariants.first_passage_dominated(
+            kernel, restricted_kernel(kernel, stopping, 8), tol=1e-12)
+        assert ok, detail
 
     def test_inclusion_exclusion_identity(self, m1, m2):
         for model, stopping in (m1, m2):
             kernel = one_step_kernel(model, enumerate_states(model.k, 20))
-            t_max = 6
-            a = restricted_kernel(kernel, stopping, t_max).values
-            b = restricted_via_inclusion_exclusion(kernel, stopping, t_max)
-            assert np.max(np.abs(a - b)) <= 1e-12
+            ok, detail = invariants.first_passage_dual_route(
+                kernel, restricted_kernel(kernel, stopping, 6), tol=1e-12)
+            assert ok, detail
 
     def test_stopping_state_outside_cap(self, m1):
         model, stopping = m1
@@ -345,18 +336,8 @@ class TestStopCoefficients:
         model, stopping = m2
         kernel = one_step_kernel(model, enumerate_states(2, 10))
         coeffs = stop_coefficients(restricted_kernel(kernel, stopping, 8))
-        r = S((1, 0))
-        assert coeffs.value(r, r, 1, 1) == 1.0
-
-    def test_shift_rule(self, m1):
-        model, stopping = m1
-        kernel = one_step_kernel(model, enumerate_states(1, 12))
-        coeffs = stop_coefficients(restricted_kernel(kernel, stopping, 10))
-        r = S((2,))
-        assert coeffs.value(r, r, 5, 3) == coeffs.value(r, r, 3, 1)
-        for t in range(2, 8):
-            for l in range(1, t):
-                assert coeffs.value(r, r, t + 1, l + 1) == coeffs.value(r, r, t, l)
+        assert coeffs.states == (S((1, 0)),)
+        assert coeffs.first_column[0, 0, 0] == 1.0  # c(1, 1)
 
     def test_limit_against_independent_series(self, m1):
         # limit = 1 - sum of first-passage probabilities, summed to machine
@@ -369,7 +350,8 @@ class TestStopCoefficients:
         via_ie = restricted_via_inclusion_exclusion(kernel, stopping, 40)
         alpha_ord = kernel.space.ordinal(S((2,)))
         series = float(via_ie[:, alpha_ord, 0].sum())
-        assert coeffs.limit(S((2,)), S((2,))) == pytest.approx(1.0 - series, abs=1e-10)
+        assert coeffs.states == (S((2,)),)
+        assert coeffs.limits[0, 0] == pytest.approx(1.0 - series, abs=1e-10)
 
     def test_rigorous_bound_with_summary(self, m1):
         # the limit of a 30-step table is off by at most the geometric tail
@@ -381,7 +363,7 @@ class TestStopCoefficients:
         long = stop_coefficients(restricted_kernel(kernel, stopping, 120))
         r = S((2,))
         bound = geometric_tail_bound(summary, r.counts, 30)
-        assert abs(short.limit(r, r) - long.limit(r, r)) <= bound
+        assert abs(short.limits[0, 0] - long.limits[0, 0]) <= bound
 
 
 ROUTES = ("direct", "formula", "restricted")
@@ -443,9 +425,8 @@ class TestAbsorptionRoutes:
     def test_monotone_in_horizon(self, m2):
         model, stopping = m2
         kernel = one_step_kernel(model, enumerate_states(2, 12))
-        col = stopped_hitting_column(kernel, stopping, S((1, 0)), 25)
-        diffs = np.diff(col, axis=0)
-        assert diffs.min() >= -1e-15
+        ok, detail = invariants.absorption_monotone(kernel, stopping, S((1, 0)), 25, tol=1e-15)
+        assert ok, detail
 
     def test_mass_balance(self, m2):
         # stopped chain mass at time t splits into: absorbed in the stopping
@@ -761,12 +742,14 @@ class TestAbsorptionTable:
 def assert_table_matches_routes(model, stopping, cap, t_list=(1, 4, 8), n_starts=24):
     """Every row of ``absorption_table`` against its route on its own
     backward table (``route_references``), and its overflow bound against
-    the free chain's overflow mass, within 1e-13, for every target in S."""
+    the free chain's overflow mass, within 1e-13, for every target in S.
+    Some q must be positive: a draw that never enters S compares zeros."""
     space = enumerate_states(model.k, cap)
     kernel = one_step_kernel(model, space)
     starts = [space.state(i) for i in range(1, space.n_states)]
     starts = [n for n in starts if n not in stopping][:n_starts]
     assert len(starts) >= 20
+    largest = 0.0
     for r in stopping.sorted_members():
         routes, overflow = route_references(kernel, stopping, r, max(t_list))
         rows = iter(absorption_table(kernel, stopping, starts, r, list(t_list)).rows)
@@ -778,7 +761,9 @@ def assert_table_matches_routes(model, stopping, cap, t_list=(1, 4, 8), n_starts
                     assert (row.n, row.r, row.t, row.method) == (n, r, t, method)
                     assert abs(row.q - routes[method][t, s]) <= 1e-13
                     assert abs(row.overflow_bound - overflow[t, s]) <= 1e-13
+                    largest = max(largest, row.q)
         assert next(rows, None) is None
+    assert largest > 0.0, "S is never entered"
 
 
 class TestAbsorptionTableBlock:

@@ -341,7 +341,7 @@ class TestEstimateYaglom:
         # survival from one particle at t = 6 via the generating map
         model, _ = m1
         t = 6
-        exact = float(iterate_survival(model, t, s=np.zeros(1))[0])
+        exact = float(iterate_survival(model, t, np.ones(1))[0])
         est = estimate_yaglom(1, model, t, 200_000, 21)
         assert abs(est.conditioning_frequency - exact) <= 4 * est.conditioning_stderr
 

@@ -56,7 +56,7 @@ class TestFirstMoments:
         counts = space.counts
         A = first_moments(model)
         for i in (1, 2):
-            row = kernel.row(unit_state(i, 2))
+            row = kernel.matrix[space.ordinal(unit_state(i, 2))]
             mean = row[: space.n_states] @ counts
             np.testing.assert_allclose(mean, A[i - 1], atol=1e-13)
 
@@ -375,6 +375,15 @@ class TestSurvivalConstant:
         model, _ = supercritical
         with pytest.raises(ValueError, match="subcritical"):
             survival_constant(model, 1, 10)
+
+    def test_underflow_names_the_step(self):
+        # delta = 2e-7: survival falls below the smallest normal float at
+        # step 46, where delta^-l is still finite; never 0 * inf = nan
+        law = OffspringLaw(((PopulationState((0,)), 0.9999999), (PopulationState((2,)), 1e-7)))
+        model = BranchingModel(("a",), (law,))
+        assert survival_constants(model, 45)[0] > 0
+        with pytest.raises(ArithmeticError, match="at step 46 is below the smallest normal"):
+            survival_constants(model, 50)
 
 
 class TestCrossModule:
