@@ -39,9 +39,9 @@ from stopbp.spectral import (
 from stopbp.genfun import (
     eval_h,
     iterate_h,
-    iterate_survival,
     make_s_grid,
     ratio_limit,
+    survival_path,
     yaglom,
     yaglom_residual,
 )
@@ -77,7 +77,6 @@ __all__ = [
     "first_moments",
     "fit_cyclic_amplitudes",
     "iterate_h",
-    "iterate_survival",
     "load_model",
     "make_s_grid",
     "moment_asymptotics",
@@ -92,6 +91,7 @@ __all__ = [
     "stop_coefficients",
     "survival_constant",
     "survival_constants",
+    "survival_path",
     "unit_state",
     "yaglom",
     "yaglom_residual",

@@ -345,9 +345,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     for label, model, stopping in pairs:
         stopping = _need_stopping(stopping)
         for name, ok, detail, elapsed in invariants.run(model, stopping, cfg.cap):
-            status = "PASS" if ok else "FAIL"
+            status = "SKIP" if ok is None else "PASS" if ok else "FAIL"
             print(f"[{status}] {label}: {name} ({detail}) [{elapsed:.3f}s]")
-            failures += 0 if ok else 1
+            failures += ok is False
     return EXIT_OK if failures == 0 else EXIT_MATH
 
 

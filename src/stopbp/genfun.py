@@ -24,16 +24,17 @@ SNAPSHOT_LAG = 5
 
 
 @lru_cache(maxsize=32)
-def _law_arrays(model: BranchingModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per type: (atom count matrix, probability vector); built once per model
-    and read-only, since every caller shares them."""
-    out = []
-    for law in model.laws:
-        counts = np.array([state.counts for state, _ in law.atoms], dtype=float)
-        probs = np.array([p for _, p in law.atoms])
-        counts.flags.writeable = probs.flags.writeable = False
-        out.append((counts, probs))
-    return tuple(out)
+def _law_arrays(model: BranchingModel) -> tuple[np.ndarray, np.ndarray]:
+    """The offspring laws as ``atoms`` (a, k), every type's atoms stacked,
+    and ``mix`` (k, a), type i's probabilities in row i, so h(s) = mix @
+    prod_j s_j^atoms; built once per model and read-only, as callers share them."""
+    atoms = np.array([state.counts for law in model.laws for state, _ in law.atoms],
+                     dtype=float)
+    owner = np.repeat(np.arange(model.k), [len(law.atoms) for law in model.laws])
+    mix = np.zeros((model.k, len(atoms)))
+    mix[owner, np.arange(len(atoms))] = [p for law in model.laws for _, p in law.atoms]
+    atoms.flags.writeable = mix.flags.writeable = False
+    return atoms, mix
 
 
 def _check_unit_box(s: np.ndarray, k: int):
@@ -43,49 +44,59 @@ def _check_unit_box(s: np.ndarray, k: int):
         raise ValueError("argument must lie in [0, 1]^k")
 
 
+def _pgf(s: np.ndarray, counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_a weights[a] prod_j s_j^counts[a, j] for each row of the batch s
+    (m, k).  s_j^c for c = 0..max count is taken once per coordinate,
+    gathered by the counts and multiplied over the types in order; the
+    product is copied C-contiguous, since another layout takes another BLAS
+    path in the @ and moves the last bits."""
+    counts = counts.astype(np.intp, copy=False)
+    table = s[:, :, None] ** np.arange(counts.max() + 1, dtype=float)
+    powers = table[:, 0, counts[:, 0]]  # (m, a)
+    for j in range(1, s.shape[1]):
+        powers = powers * table[:, j, counts[:, j]]
+    return np.ascontiguousarray(powers) @ weights
+
+
 def eval_h(model: BranchingModel, s) -> np.ndarray:
     """One-step generating map h(s); accepts a vector or a batch (m, k)."""
     s = np.asarray(s, dtype=float)
     _check_unit_box(s, model.k)
-    batch = np.atleast_2d(s)
-    out = np.empty_like(batch)
-    for i, (counts, probs) in enumerate(_law_arrays(model)):
-        # batch (m, k) against atoms (a, k): product over types per atom
-        powers = batch[:, None, :] ** counts[None, :, :]
-        out[:, i] = powers.prod(axis=2) @ probs
-    return out.reshape(s.shape)
+    atoms, mix = _law_arrays(model)
+    return _pgf(np.atleast_2d(s), atoms, mix.T).reshape(s.shape)
+
+
+_LOG_ZERO = -1e3  # stands for log 0: below log(5e-324), so exp gives 0 exactly
+
+
+def _survival_step(atoms: np.ndarray, mix: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """1 - h(1 - r) by 1 - prod_j (1 - r_j)^c_j = -expm1(sum_j c_j log1p(-r_j)),
+    exact in relative terms for r arbitrarily close to 0, where the plain form
+    cancels to zero; r >= 1 counts as log 0, which a count c = 0 zeroes."""
+    logs = np.log1p(-r, out=np.full(r.shape, _LOG_ZERO), where=r < 1.0)
+    return -(np.expm1(logs @ atoms.T) @ mix.T)
 
 
 def survival_map(model: BranchingModel, r) -> np.ndarray:
-    """Stable evaluation of 1 - h(1 - r) for survival vectors r in [0, 1]^k.
-
-    Uses 1 - prod_j (1 - r_j)^c_j = -expm1(sum_j c_j log1p(-r_j)); exact in
-    relative terms for r arbitrarily close to 0, where the plain form would
-    cancel to zero.
-    """
+    """``_survival_step`` on survival vectors r in [0, 1]^k, a vector or a batch (m, k)."""
     r = np.asarray(r, dtype=float)
     _check_unit_box(r, model.k)
-    batch = np.atleast_2d(r)
-    with np.errstate(divide="ignore"):
-        logs = np.log1p(-batch)  # -inf where r = 1
-    out = np.empty_like(batch)
-    for i, (counts, probs) in enumerate(_law_arrays(model)):
-        with np.errstate(invalid="ignore"):
-            raw = counts[None, :, :] * logs[:, None, :]
-        # c = 0 contributes nothing even where log1p(-r) = -inf
-        raw = np.where(counts[None, :, :] > 0, raw, 0.0)
-        exponents = raw.sum(axis=2)
-        out[:, i] = -(np.expm1(exponents) @ probs)
-    return out.reshape(r.shape)
+    return _survival_step(*_law_arrays(model), r)
 
 
-def iterate_survival(model: BranchingModel, t: int, r) -> np.ndarray:
-    """Survival vector 1 - h(t, 1 - r) from the survival vector r, iterated
-    in survival form."""
-    r = np.array(r, dtype=float)
-    for _ in range(t):
-        r = survival_map(model, r)
-    return r
+def survival_path(model: BranchingModel, t: int, r) -> np.ndarray:
+    """Survival vectors 1 - h(l, 1 - r) for l = 0..t on a new leading axis,
+    from the survival vector (or batch) r, iterated in survival form."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    r = np.asarray(r, dtype=float)
+    _check_unit_box(r, model.k)
+    atoms, mix = _law_arrays(model)
+    path = np.empty((t + 1,) + r.shape)
+    path[0] = r
+    for l in range(t):
+        path[l + 1] = _survival_step(atoms, mix, path[l])
+    return path
 
 
 def iterate_h(model: BranchingModel, t: int, s) -> np.ndarray:
@@ -100,7 +111,6 @@ def iterate_h(model: BranchingModel, t: int, s) -> np.ndarray:
 
 
 LAW_BLOCK_BYTES = 1 << 21  # working memory of one block of ``truncated_laws``
-_LOG_ZERO = -1e3  # stands for log 0: below log(5e-324), so exp gives 0 exactly
 
 
 @lru_cache(maxsize=8)
@@ -109,8 +119,11 @@ def _truncated_pairs(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ordinal of a + b, and where each ordinal's group starts."""
     space = exact_engine.enumerate_states(k, cap)
     states = space.counts
-    totals = states.sum(1)
-    a, b = np.nonzero(totals[:, None] + totals[None, :] <= cap)
+    # graded order: the partners b of a are the first C(cap - |a| + k, k)
+    # states, so the pairs come a-major with b ascending
+    partners = np.array([math.comb(cap - d + k, k) for d in range(cap + 1)])[states.sum(1)]
+    a = np.repeat(np.arange(space.n_states), partners)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(partners) - partners, partners)
     c = space.ordinals(states[a] + states[b])
     order = np.argsort(c, kind="stable")
     return a[order], b[order], np.searchsorted(c[order], np.arange(space.n_states))
@@ -173,20 +186,17 @@ def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):
 
     The loop over steps carries only the k per-type iterates F_l, truncated
     at total degree ``space.cap``, as r = 1 - F_l(0) and v = (F_l - F_l(0))
-    / r.  r is iterated in survival form, as ``survival_map`` does, so laws
-    count as normalised.  F_(l+1)^(i) is the mix over type i's atoms of
-    prod_j F_l^(j)^(c_j), and an offspring count c is small, so each factor
-    is sum_m C(c, m) a0^(c-m) r^m v^m with integer binomials and powers of
-    v up to min(cap, largest count).  Every ``LAW_BLOCK_BYTES`` of working
-    memory, the steps gathered so far go to ``truncated_laws`` at once.
+    / r.  r does not depend on v, so it is read off one ``survival_path``
+    from r = 1, in survival form, and laws count as normalised.
+    F_(l+1)^(i) is the mix over type i's atoms of prod_j F_l^(j)^(c_j), and
+    an offspring count c is small, so each factor is sum_m C(c, m) a0^(c-m)
+    r^m v^m with integer binomials and powers of v up to min(cap, largest
+    count).  Every ``LAW_BLOCK_BYTES`` of working memory, the steps gathered
+    so far go to ``truncated_laws`` at once.
     """
     k, size = space.k, space.n_states
-    laws = _law_arrays(model)
-    atoms = np.concatenate([c for c, _ in laws])
-    n_atoms = len(atoms)
-    owner = np.concatenate([np.full(len(probs), i) for i, (_, probs) in enumerate(laws)])
-    mix = np.zeros((k, n_atoms))  # F_(l+1)^(i) = mix[i] @ (atom powers of F_l)
-    mix[owner, np.arange(n_atoms)] = np.concatenate([probs for _, probs in laws])
+    atoms, mix = _law_arrays(model)  # F_(l+1)^(i) = mix[i] @ (atom powers of F_l)
+    survival = survival_path(model, steps, np.ones(k))  # r of F_0, ..., F_steps
     counts_int = atoms.astype(np.int64)
     most = int(atoms.max())
     m = np.arange(min(space.cap, most) + 1)
@@ -202,26 +212,25 @@ def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):
     per_row = k * (4 * (space.cap + 1) + size) + (k > 1) * n_pairs
     per_step = k * ((space.cap + 1) * size + n_pairs) + len(counts) * per_row
     block = max(1, min(steps, LAW_BLOCK_BYTES // (8 * per_step)))
-    r_block, v_block = np.empty((block, k)), np.empty((block, k, size))
-    r = np.ones(k)  # F_0^(i)(s) = s_i: r = 1, v = s_i
-    v = np.zeros((k, size))
+    v_block = np.empty((block, k, size))
+    v = np.zeros((k, size))  # F_0^(i)(s) = s_i: r = 1, v = s_i
     if space.cap:
         v[range(k), space.ordinals(np.eye(k, dtype=np.int64))] = 1.0
     for l in range(1, steps + 1):
+        r = survival[l - 1]
         weights = binom * ((1.0 - r)[:, None] ** exponents).ravel()[at] * r[:, None] ** m
         factors = weights.transpose(1, 0, 2) @ _powers(space, v, len(m) - 1)
         f = factors[0]
         for j in range(1, k):
             f = _product(space, f, factors[j])
         f = mix @ f
-        logs = np.log1p(-r, out=np.full(k, _LOG_ZERO), where=r < 1.0)
-        r = -(mix @ np.expm1(atoms @ logs))  # survival_map's 1 - h(1 - r)
+        r = survival[l]
         v = np.divide(f, r[:, None], out=np.zeros_like(f), where=r[:, None] > 0.0)
         v[:, 0] = 0.0
         i = (l - 1) % block
-        r_block[i], v_block[i] = r, v
+        v_block[i] = v
         if i == block - 1 or l == steps:
-            yield l - i, truncated_laws(space, counts, r_block[: i + 1], v_block[: i + 1])
+            yield l - i, truncated_laws(space, counts, survival[l - i: l + 1], v_block[: i + 1])
 
 
 def make_s_grid(k: int, n_points: int) -> np.ndarray:
@@ -294,7 +303,6 @@ def ratio_limit(
     if not 1 <= k_ref <= model.k:
         raise ValueError(f"reference type {k_ref} out of range 1..{model.k}")
     s_grid = np.atleast_2d(np.asarray(s_grid, dtype=float))
-    _check_unit_box(s_grid, model.k)
     if np.any(np.all(s_grid == 1.0, axis=1)):
         raise ValueError("the all-ones argument is excluded (survival is zero there)")
     f = np.asarray(summary.f, dtype=float)
@@ -305,11 +313,9 @@ def ratio_limit(
         t_record = range(1, t_max + 1)
     record_set = set(int(t) for t in t_record)
     records = []
-    r = 1.0 - s_grid
-    for t in range(1, t_max + 1):
-        r = survival_map(model, r)
-        if t not in record_set:
-            continue
+    path = survival_path(model, t_max, 1.0 - s_grid)  # checks the grid
+    for t in sorted(record_set & set(range(1, t_max + 1))):
+        r = path[t]
         ref = r[:, k_ref - 1]
         if np.any(ref <= 0.0):
             raise ValueError(f"reference survival component vanished at t={t}")
@@ -434,17 +440,7 @@ def h_star(data: YaglomData, s) -> np.ndarray:
     """Generating function of the conditional law at the tabulated horizon."""
     s = np.asarray(s, dtype=float)
     _check_unit_box(s, data.space.k)
-    batch = np.atleast_2d(s)
-    counts = data.space.counts  # (n, k)
-    # s_j^c for c = 0..cap once per coordinate, gathered by the counts and
-    # multiplied over the types in order; the gathered product is copied
-    # C-contiguous, since another layout takes another BLAS path in the @
-    # and moves the last bits
-    table = batch[:, :, None] ** np.arange(data.space.cap + 1, dtype=float)
-    powers = table[:, 0, counts[:, 0]]  # (points, n)
-    for j in range(1, data.space.k):
-        powers = powers * table[:, j, counts[:, j]]
-    values = np.ascontiguousarray(powers) @ data.p[: data.space.n_states]
+    values = _pgf(np.atleast_2d(s), data.space.counts, data.p[: data.space.n_states])
     return values.reshape(s.shape[:-1]) if s.ndim > 1 else float(values[0])
 
 
@@ -489,8 +485,6 @@ def single_offspring_reachable(model: BranchingModel) -> bool:
     """True when every type appears as some parent's single-child outcome:
     the precondition for the conditional-limit law to charge every
     single-particle state."""
-    reached = set()
-    for law in model.laws:
-        reached.update(state.counts.index(1) for state, p in law.atoms
-                       if state.total == 1 and p > 0.0)
-    return len(reached) == model.k
+    atoms, mix = _law_arrays(model)
+    singles = atoms[(atoms.sum(1) == 1) & (mix.sum(0) > 0.0)]
+    return bool(np.all(singles.any(0)))

@@ -3,8 +3,9 @@ exact engine, the generating map and the spectral data against each other.
 
 Each invariant is one function of explicit inputs that returns (ok,
 detail), with ok its verdict at the tolerance given (by default the
-module constant beside it) and detail a short line with the measured
-value.  ``battery`` binds the twelve checks ``stopbp verify`` runs on one
+module constant beside it) or None when the model lacks its hypothesis,
+and detail a short line with the measured value or the missing hypothesis.
+``battery`` binds the twelve checks ``stopbp verify`` runs on one
 model; it builds the kernel once and the first-passage table at most once,
 and looks ``exact_engine.one_step_kernel`` up on the module, so a test can
 substitute a faulty kernel.  ``run`` times each check and turns an
@@ -86,24 +87,23 @@ def absorption_monotone(kernel: exact_engine.TransitionKernel, stopping: Stoppin
 def generating_semigroup(model: BranchingModel, s, t: int, tau: int, tol: float = TOL):
     """h(t + tau) = h(t) o h(tau), read across the two forms of the map:
     1 - h(t + tau, s) by plain composition against t survival-form steps
-    (``genfun.survival_map``) from 1 - h(tau, s).  The forms share no
+    (``genfun.survival_path``) from 1 - h(tau, s).  The forms share no
     arithmetic, so a fault in either shows as a gap."""
     plain = 1.0 - genfun.iterate_h(model, t + tau, s)
-    survival = genfun.iterate_survival(model, t, 1.0 - genfun.iterate_h(model, tau, s))
+    survival = genfun.survival_path(model, t, 1.0 - genfun.iterate_h(model, tau, s))[-1]
     worst = float(np.max(np.abs(plain - survival)))
     return worst <= tol, f"worst semigroup gap {worst:.3g}"
 
 
 def survival_bounds(model: BranchingModel, s, horizons, tol: float = TOL):
     """0 <= R(t, s) <= Q(t) at each horizon t, with R(t, s) = 1 - h(t, s)
-    and Q(t) = R(t, 0), both in survival form."""
-    r, q = 1.0 - np.asarray(s, dtype=float), np.ones(model.k)
-    ok = True
-    for t in range(1, max(horizons) + 1):
-        r, q = genfun.survival_map(model, r), genfun.survival_map(model, q)
-        if t in horizons:
-            ok &= bool(np.all(r >= -INCREMENT_TOL) and np.all(r <= q + tol))
-    return ok, "0 <= R(t,s) <= Q(t)"
+    and Q(t) = R(t, 0), read off one survival path from the s and from 0."""
+    horizons = list(horizons)
+    start = np.vstack([1.0 - np.atleast_2d(np.asarray(s, dtype=float)), np.ones(model.k)])
+    path = genfun.survival_path(model, max(horizons), start)[horizons]
+    r, excess = path[:, :-1], path[:, :-1] - path[:, -1:]
+    ok = bool(np.all(r >= -INCREMENT_TOL) and np.all(excess <= tol))
+    return ok, f"min R {r.min():.3g}, max R - Q {excess.max():.3g}"
 
 
 def mean_dominance(model: BranchingModel, s, tol: float = TOL):
@@ -115,11 +115,20 @@ def mean_dominance(model: BranchingModel, s, tol: float = TOL):
     return worst <= tol, f"worst violation {worst:.3g}"
 
 
+def _missing_hypothesis(summary: spectral.SpectralSummary) -> str:
+    """The first hypothesis of the theorem the model lacks, or ""."""
+    if not summary.indecomposable:
+        return "decomposable"
+    if summary.period != 1:
+        return f"period {summary.period}"
+    return "" if summary.criticality == "subcritical" else summary.criticality
+
+
 def perron_residuals(summary: spectral.SpectralSummary, tol: float = PERRON_TOL):
     """|A f - delta f| and |nu A - delta nu| of the computed Perron triple;
-    skipped when the model has none (decomposable or periodic)."""
+    ok is None when the model has none (decomposable or periodic)."""
     if summary.period != 1:
-        return True, "skipped: decomposable or periodic"
+        return None, f"skipped: {_missing_hypothesis(summary)}"
     worst = max(summary.residual_f, summary.residual_nu)
     return worst <= tol, f"eigen residual {worst:.3g}"
 
@@ -127,9 +136,10 @@ def perron_residuals(summary: spectral.SpectralSummary, tol: float = PERRON_TOL)
 def survival_constants_positive(model: BranchingModel, summary: spectral.SpectralSummary,
                                 l_max: int):
     """K_j > 0 for every type; ``spectral.survival_constants`` raises
-    otherwise.  Skipped for a model outside the theorem."""
-    if summary.period != 1 or summary.criticality != "subcritical":
-        return True, "skipped: not subcritical"
+    otherwise; ok is None for a model outside the theorem."""
+    missing = _missing_hypothesis(summary)
+    if missing:
+        return None, f"skipped: {missing}"
     K = spectral.survival_constants(model, l_max, summary)
     return True, f"K = {np.array2string(K, precision=4)}"
 

@@ -272,32 +272,27 @@ class SurvivalConstant:
 def _survival_constants(
     model: BranchingModel, l_max: int, delta: float
 ) -> list[SurvivalConstant]:
-    """Estimates for every starting type from one survival-form pass.
+    """Estimates for every starting type from one ``genfun.survival_path``.
 
-    Survival probabilities are iterated in survival form (never forming
-    1 - h directly), so the estimates stay accurate even when the survival
-    probability underflows far below machine epsilon relative to 1.  The
-    pass iterates the whole survival vector, so one pass serves all types.
-    A survival probability below the smallest normal float has lost its
+    The path is in survival form (never forming 1 - h directly), so the
+    estimates stay accurate far below machine epsilon relative to 1, and it
+    carries the whole survival vector, so one path serves all types.  A
+    survival probability below the smallest normal float has lost its
     relative precision (and may be 0 while delta^-l is inf), so it raises
     ``ArithmeticError`` naming the step.
     """
     from stopbp import genfun
 
-    r = np.ones(model.k)
-    estimates = np.empty((model.k, l_max))
-    survivals = np.empty((model.k, l_max))
-    scale = 1.0
-    for l in range(l_max):
-        r = genfun.survival_map(model, r)
-        if not np.all(r >= np.finfo(float).tiny):
-            raise ArithmeticError(
-                f"survival probability {r.min():.3g} at step {l + 1} is below the "
-                f"smallest normal float; survival constants need l_max <= {l}"
-            )
-        scale /= delta
-        survivals[:, l] = r
-        estimates[:, l] = r * scale
+    survivals = genfun.survival_path(model, l_max, np.ones(model.k))[1:].T  # (k, l_max)
+    low = np.flatnonzero(~np.all(survivals >= np.finfo(float).tiny, axis=0))
+    if len(low):
+        l = int(low[0])
+        raise ArithmeticError(
+            f"survival probability {survivals[:, l].min():.3g} at step {l + 1} is below the "
+            f"smallest normal float; survival constants need l_max <= {l}"
+        )
+    scale = np.divide.accumulate(np.r_[1.0, np.full(l_max, delta)])[1:]  # delta^-l
+    estimates = survivals * scale
     ratios = survivals[:, 1:] / survivals[:, :-1]
     return [
         SurvivalConstant(type_index=j + 1, estimates=estimates[j], ratios=ratios[j], delta=delta)

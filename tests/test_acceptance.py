@@ -248,7 +248,7 @@ def test_c10_monte_carlo_battery(m1, m2, kernels60):
     kernel2, _ = kernels60["m2"]
     column = exact_engine.stopped_hitting_column(kernel2, stop2, S((1, 0)), 10)
     exact_m2 = column[10, kernel2.space.ordinal(S((0, 2)))]
-    exact_yag = float(genfun.iterate_survival(model1, 6, np.ones(1))[0])
+    exact_yag = float(genfun.survival_path(model1, 6, np.ones(1))[-1][0])
 
     reps = 100_000
     batteries = {

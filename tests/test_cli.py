@@ -552,6 +552,19 @@ class TestVerify:
     def test_single_model(self, m1_path, capsys):
         assert main(["verify", "--model", m1_path]) == 0
 
+    def test_decomposable_skips_the_perron_checks(self, capsys):
+        # no Perron triple: the two checks that need one print [SKIP] with
+        # the missing hypothesis, and a skip is not a failure
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        assert main(["verify", "--model", os.path.join(root, "models", "decomposable.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12
+        assert sum(line.startswith("[PASS]") for line in lines) == 10
+        skipped = [line for line in lines if line.startswith("[SKIP]")]
+        assert len(skipped) == 2
+        assert "Perron residuals (skipped: decomposable)" in skipped[0]
+        assert "survival constants positive (skipped: decomposable)" in skipped[1]
+
     def test_raising_check_fails_and_the_rest_run(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text(TINY_MEAN_TEXT)

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,17 +15,17 @@ from stopbp.genfun import (
     eval_h,
     h_star,
     iterate_h,
-    iterate_survival,
     make_s_grid,
     ratio_limit,
     single_offspring_reachable,
     survival_map,
+    survival_path,
     truncated_law_blocks,
     yaglom,
     yaglom_residual,
 )
 from stopbp.model import PopulationState, unit_state
-from stopbp.spectral import moments, perron_triple
+from stopbp.spectral import first_moments, moments, perron_triple
 
 from oracles import free_distribution
 
@@ -95,15 +98,40 @@ class TestSurvivalMap:
         np.testing.assert_allclose(out, 1.0 - eval_h(model, [0.0, 0.0]), atol=1e-15)
 
     def test_law_arrays_built_once_and_read_only(self, m2):
-        # every call of the map shares one set of arrays per model
+        # every reader shares one (atoms, mix) pair per model, and the pair
+        # gives the mean matrix as mix @ atoms
         model, _ = m2
         laws = _law_arrays(model)
         assert _law_arrays(model) is laws
-        counts, probs = laws[0]
+        atoms, mix = laws
         with pytest.raises(ValueError, match="read-only"):
-            counts[0, 0] = 5.0
+            atoms[0, 0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
-            probs[0] = 1.0
+            mix[0, 0] = 1.0
+        np.testing.assert_allclose(mix @ atoms, first_moments(model), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["m1", "m2", "k3"])
+    @pytest.mark.parametrize("t", [0, 1, 60])
+    def test_path_is_repeated_map(self, request, name, t):
+        model, _ = request.getfixturevalue(name)
+        r = np.random.default_rng(7).uniform(0.0, 1.0, size=(30, model.k))
+        path = survival_path(model, t, r)
+        assert path.shape == (t + 1, 30, model.k)
+        for l in range(t + 1):
+            assert np.array_equal(path[l], r)
+            r = survival_map(model, r)
+
+    def test_path_at_the_box_edges(self, m2):
+        # r = 1 is log 0, r = 0 stays 0; neither raises a RuntimeWarning
+        model, _ = m2
+        r = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            path = survival_path(model, 60, r)
+            for l in range(61):
+                assert np.array_equal(path[l], r)
+                r = survival_map(model, r)
+        assert np.array_equal(path[:, 1], np.zeros((61, 2)))
 
 
 class TestIterateH:
@@ -111,12 +139,12 @@ class TestIterateH:
         model, _ = m2
         s = np.array([0.3, 0.8])
         np.testing.assert_array_equal(iterate_h(model, 0, s), s)
-        np.testing.assert_allclose(iterate_survival(model, 0, 1.0 - s), 1.0 - s, atol=1e-15)
+        np.testing.assert_allclose(survival_path(model, 0, 1.0 - s)[-1], 1.0 - s, atol=1e-15)
 
     def test_ones_fixed_point(self, m2):
         model, _ = m2
         np.testing.assert_allclose(iterate_h(model, 7, np.ones(2)), 1.0, atol=1e-15)
-        np.testing.assert_allclose(iterate_survival(model, 7, np.zeros(2)), 0.0, atol=1e-15)
+        np.testing.assert_allclose(survival_path(model, 7, np.zeros(2))[-1], 0.0, atol=1e-15)
 
     def test_m1_two_steps_matches_kernel(self, m1):
         # h(2, 0) = 0.847 = two-step extinction probability
@@ -150,7 +178,7 @@ class TestIterateH:
         for model, _ in (m1, m2):
             q_prev = None
             for t in range(1, 40):
-                q = iterate_survival(model, t, np.ones(model.k))
+                q = survival_path(model, t, np.ones(model.k))[-1]
                 if q_prev is not None:
                     assert np.all(q <= q_prev + 1e-15)
                 q_prev = q
@@ -373,6 +401,32 @@ class TestYaglomResidual:
 
 
 class TestTruncatedLaws:
+    @pytest.mark.parametrize("k, cap", [(1, 7), (2, 6), (3, 5)])
+    def test_pairs_against_bruteforce(self, k, cap):
+        # every pair (a, b) with |a| + |b| <= cap, ordered by the ordinal of
+        # a + b, then a, then b, and the first pair of each ordinal
+        space = enumerate_states(k, cap)
+        states = [tuple(c) for c in space.counts.tolist()]
+        want = sorted(
+            (space.ordinal(PopulationState(tuple(x + y for x, y in zip(sa, sb)))), a, b)
+            for a, sa in enumerate(states) for b, sb in enumerate(states)
+            if sum(sa) + sum(sb) <= cap)
+        c, a, b = np.array(want).T
+        got_a, got_b, groups = genfun._truncated_pairs(k, cap)
+        assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+        assert np.array_equal(groups, np.searchsorted(c, np.arange(space.n_states)))
+
+    def test_pairs_build_without_a_size_by_size_array(self):
+        # 1,771 states: a size x size sum of totals takes the traced peak to
+        # 27.0 MiB; counting each state's partners keeps it near 17.6 MiB
+        tracemalloc.start()
+        try:
+            genfun._truncated_pairs.__wrapped__(3, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22 * 2**20
+
     @pytest.mark.parametrize("name, counts", [
         ("m1", [(1,), (2,), (4,)]),
         ("m2", [(1, 0), (0, 2), (2, 1), (3, 0)]),

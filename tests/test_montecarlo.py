@@ -6,7 +6,7 @@ import pytest
 
 import stopbp.montecarlo as mc
 from stopbp.exact_engine import enumerate_states, one_step_kernel, stopped_hitting_column
-from stopbp.genfun import iterate_survival, yaglom
+from stopbp.genfun import survival_path, yaglom
 from stopbp.model import PopulationState, StoppingSet
 from stopbp.montecarlo import (
     PARTICLE_BUDGET,
@@ -341,7 +341,7 @@ class TestEstimateYaglom:
         # survival from one particle at t = 6 via the generating map
         model, _ = m1
         t = 6
-        exact = float(iterate_survival(model, t, np.ones(1))[0])
+        exact = float(survival_path(model, t, np.ones(1))[-1][0])
         est = estimate_yaglom(1, model, t, 200_000, 21)
         assert abs(est.conditioning_frequency - exact) <= 4 * est.conditioning_stderr
 

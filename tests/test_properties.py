@@ -7,6 +7,8 @@ decomposable and periodic draws).  The runs are derandomized and bounded,
 so the suite stays deterministic.
 """
 
+import contextlib
+import io
 import itertools
 import os
 import tempfile
@@ -25,6 +27,7 @@ from stopbp.model import (
     dump_model,
     load_model,
 )
+from stopbp import spectral
 from stopbp.spectral import OutsideTheoremError, moments, perron_triple
 
 from test_exact_engine import assert_matches_dense, assert_solve_matches_renewal
@@ -104,5 +107,22 @@ def test_cli_exit_codes(case):
             "--n", PopulationState(starts[0]).label(),
             "--r", stopping.sorted_members()[0].label(),
         ])
+        # cap 8 keeps the kernel of k = 3 at 165 states
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            verify = main(["verify", "--model", path, "--cap", "8"])
     assert classify in (0, 1, 2) and series in (0, 1, 2)
     assert series != 0 or classify == 0
+    # verify raises nothing, prints its twelve checks and skips exactly
+    # those whose hypothesis classify finds missing
+    lines = printed.getvalue().splitlines()
+    assert verify in (0, 1) and len(lines) == 12
+    summary = spectral.classify(moments(model))
+    skipped = {line.split(": ", 1)[1].split(" (")[0] for line in lines
+               if line.startswith("[SKIP]")}
+    want = set()
+    if summary.period != 1:
+        want.add("Perron residuals")
+    if summary.period != 1 or summary.criticality != "subcritical":
+        want.add("survival constants positive")
+    assert skipped == want
