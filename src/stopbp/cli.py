@@ -73,8 +73,8 @@ class RunConfig:
         for name in ("cap", "t", "reps", "workers"):
             if getattr(self, name) < 0 or (name in ("reps", "workers") and getattr(self, name) == 0):
                 raise UsageError(f"--{name.replace('_', '-')} must be positive")
-        if self.tol <= 0:
-            raise UsageError("--tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise UsageError(f"--tol must be finite and positive, got {self.tol}")
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
@@ -163,6 +163,8 @@ def _parse_direction(text: Optional[str], k: int) -> np.ndarray:
         raise UsageError(f"--a: expected comma-separated numbers, got {text!r}")
     if len(a) != k:
         raise UsageError(f"--a has {len(a)} entries for {k} types")
+    if not np.all(np.isfinite(a)):
+        raise UsageError(f"--a must be finite, got {text!r}")
     if np.any(a < 0) or a.sum() <= 0:
         raise UsageError("--a must be nonnegative with positive sum")
     return a / a.sum()
@@ -185,9 +187,12 @@ def _parse_grid(text: Optional[str]) -> list[int]:
         grid = np.unique(np.round(np.geomspace(lo, hi, count)).astype(int))
         return [int(x) for x in grid]
     try:
-        return [int(x) for x in text.split(",")]
+        grid = [int(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"--n-grid: expected integers, got {text!r}")
+    if min(grid) <= 0:
+        raise UsageError(f"--n-grid totals must be positive, got {text!r}")
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -61,17 +61,21 @@ KERNEL_TOL = 1e-12
 MAX_SERIES_TERMS = 100_000
 
 
-def _default_state_limit() -> int:
-    """Largest state count S whose dense float64 kernel, (S+1)^2 * 8 bytes
-    with the overflow sentinel, fits in half of physical memory."""
+def _memory_budget() -> int:
+    """Half of physical memory, in bytes."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: assume 8 GiB
         memory = 8 << 30
-    return math.isqrt(memory // 16) - 1
+    return memory // 2
 
 
-DEFAULT_STATE_LIMIT = _default_state_limit()
+# the one memory budget: the dense kernel's state limit and the size check
+# of the cap-free laws (``genfun.truncated_law_blocks``) are both read off it
+MEMORY_BUDGET = _memory_budget()
+# largest state count S whose dense float64 kernel, (S+1)^2 * 8 bytes with
+# the overflow sentinel, fits the budget
+DEFAULT_STATE_LIMIT = math.isqrt(MEMORY_BUDGET // 8) - 1
 
 
 class CapacityError(RuntimeError):

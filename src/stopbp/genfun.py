@@ -129,37 +129,51 @@ def _truncated_pairs(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return a[order], b[order], np.searchsorted(c[order], np.arange(space.n_states))
 
 
-def _product(space, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of power series in ``space``'s monomials (last axis, by
-    ordinal), truncated at total degree ``space.cap``; every sum has
-    nonnegative terms when x and y do."""
-    a, b, groups = _truncated_pairs(space.k, space.cap)
-    return np.add.reduceat(x[..., a] * y[..., b], groups, axis=-1)
+def _product(pairs, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of power series in monomials (last axis, by ordinal),
+    truncated at the total degree of the pair table ``pairs``
+    (``_truncated_pairs``); every sum has nonnegative terms when x and y do."""
+    a, b, groups = pairs
+    return np.add.reduceat(x.take(a, -1) * y.take(b, -1), groups, -1)
 
 
-def _powers(space, v: np.ndarray, top: int) -> np.ndarray:
-    """v^0, ..., v^top of truncated series v (..., size), on a new axis -2."""
-    out = np.zeros(v.shape[:-1] + (top + 1, v.shape[-1]))
-    out[..., 0, 0] = 1.0
-    if top:
-        out[..., 1, :] = v
-    for m in range(2, top + 1):
-        out[..., m, :] = _product(space, out[..., m - 1, :], v)
+def _fill_powers(pairs, powers: np.ndarray):
+    """powers[..., p, :] = v^p for p >= 2, with v = powers[..., 1, :]."""
+    for p in range(2, powers.shape[-2]):
+        powers[..., p, :] = _product(pairs, powers[..., p - 1, :], powers[..., 1, :])
+
+
+def _present_rows(counts: np.ndarray) -> list[np.ndarray]:
+    """Per type j, the rows of ``counts`` (rows, k) with c_j > 0."""
+    return [np.flatnonzero(column > 0) for column in np.asarray(counts).T]
+
+
+def _multiply_types(pairs, factors: np.ndarray, present: list[np.ndarray]) -> np.ndarray:
+    """prod_j factors[j] (rows on axis -2), multiplying each row by
+    factors[j] only where ``present[j]`` lists it: a factor with exponent
+    c_j = 0 is the unit series, and a product with it only adds exact zeros.
+    Overwrites factors[0]."""
+    out = factors[0]
+    for j in range(1, len(present)):
+        rows = present[j]
+        if len(rows):
+            out[..., rows, :] = _product(pairs, out.take(rows, -2), factors[j].take(rows, -2))
     return out
 
 
-def truncated_laws(space, counts, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+def truncated_laws(space, pairs, counts, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """P_n(Z_l = beta) for a block of steps l, every row n of ``counts`` and
     every state beta of ``space``: ``out[i, n, beta]`` at the step of r[i].
 
     These are the coefficients of prod_j F_l^(j)(s)^(n_j), F_l the l-th
-    iterate of h, truncated at total degree ``space.cap``, with F_l^(j) =
-    1 - r[i, j] + r[i, j] v[i, j] (``truncated_law_blocks``).  Each factor
-    is expanded around its constant term, F^c = sum_m Bin(c, r)(m) v^m, and
-    v^m starts at degree m, so m <= cap suffices for any c.  The binomial
-    weights are taken in logs (log C(c, m) as a sum of logs, log a0 =
-    log1p(-r)), so c may be huge; every other sum has nonnegative terms, so
-    every coefficient keeps its relative precision.
+    iterate of h, truncated at total degree ``space.cap`` (``pairs`` is its
+    pair table), with F_l^(j) = 1 - r[i, j] + r[i, j] v[i, j]
+    (``truncated_law_blocks``).  Each factor is expanded around its constant
+    term, F^c = sum_m Bin(c, r)(m) v^m, and v^m starts at degree m, so m <=
+    cap suffices for any c.  The binomial weights are taken in logs (log
+    C(c, m) as a sum of logs, log a0 = log1p(-r)), so c may be huge; every
+    other sum has nonnegative terms, so every coefficient keeps its relative
+    precision.
     """
     rows = np.asarray(counts, dtype=float)[:, :, None]  # (n, k, 1)
     m = np.arange(space.cap + 1, dtype=float)
@@ -173,11 +187,25 @@ def truncated_laws(space, counts, r: np.ndarray, v: np.ndarray) -> np.ndarray:
         log_r = np.log(r)[:, None, :, None]
         weights = np.exp(log_binom + np.where(excess > 0, excess * log_a0, 0.0)
                          + np.where(m > 0, m * log_r, 0.0))  # (steps, n, k, cap + 1)
-    factors = weights.transpose(0, 2, 1, 3) @ _powers(space, v, space.cap)
-    laws = factors[:, 0]
-    for j in range(1, space.k):
-        laws = _product(space, laws, factors[:, j])
-    return laws
+    powers = np.zeros(v.shape[:-1] + (space.cap + 1, v.shape[-1]))
+    powers[..., 0, 0] = 1.0
+    if space.cap:
+        powers[..., 1, :] = v
+        _fill_powers(pairs, powers)
+    factors = weights.transpose(0, 2, 1, 3) @ powers  # (steps, k, n, size)
+    return _multiply_types(pairs, factors.swapaxes(0, 1), _present_rows(rows[..., 0]))
+
+
+def _check_budget(k: int, cap: int, n_pairs: int, step_entries: int):
+    """Raise ``CapacityError`` unless the pair table at (k, cap), built at
+    (2k + 6) int64 entries per pair (its traced peak is 7.0 to 23.1 for k =
+    1..10), and ``step_entries`` float64 entries fit ``MEMORY_BUDGET``."""
+    need = 8 * ((2 * k + 6) * n_pairs + step_entries)
+    if need > exact_engine.MEMORY_BUDGET:
+        raise exact_engine.CapacityError(
+            f"laws truncated at degree {cap} in {k} types need about {need} bytes "
+            f"({n_pairs} monomial pairs), above the budget {exact_engine.MEMORY_BUDGET}"
+        )
 
 
 def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):
@@ -191,12 +219,16 @@ def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):
     F_(l+1)^(i) is the mix over type i's atoms of prod_j F_l^(j)^(c_j), and
     an offspring count c is small, so each factor is sum_m C(c, m) a0^(c-m)
     r^m v^m with integer binomials and powers of v up to min(cap, largest
-    count).  Every ``LAW_BLOCK_BYTES`` of working memory, the steps gathered
-    so far go to ``truncated_laws`` at once.
+    count).  The weights depend on r alone, so they are taken for a whole
+    block of steps at once; a step takes the powers of v in one buffer and
+    multiplies an atom's row by the factor of type j only where c_j > 0.
+    Every ``LAW_BLOCK_BYTES`` of working memory, the steps gathered so far
+    go to ``truncated_laws`` at once.  Before the pair table is built, it
+    and one step's working memory are checked against
+    ``exact_engine.MEMORY_BUDGET`` (``CapacityError``).
     """
     k, size = space.k, space.n_states
     atoms, mix = _law_arrays(model)  # F_(l+1)^(i) = mix[i] @ (atom powers of F_l)
-    survival = survival_path(model, steps, np.ones(k))  # r of F_0, ..., F_steps
     counts_int = atoms.astype(np.int64)
     most = int(atoms.max())
     m = np.arange(min(space.cap, most) + 1)
@@ -206,31 +238,43 @@ def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):
     at = np.arange(k)[:, None] * (most + 1) + np.maximum(counts_int[:, :, None] - m, 0)
     exponents = np.arange(most + 1)
 
-    # float64 entries one step takes in truncated_laws: the powers of v and
-    # their products, then per row the weights, the factors and their products
-    n_pairs = len(_truncated_pairs(k, space.cap)[0])
+    # float64 entries per step of a block: its weights, then in
+    # truncated_laws the powers of v and their products, and per row the
+    # weights, the factors and their products; the step itself holds the
+    # powers of v, the factors and their products once
+    n_pairs = math.comb(space.cap + 2 * k, 2 * k)
     per_row = k * (4 * (space.cap + 1) + size) + (k > 1) * n_pairs
-    per_step = k * ((space.cap + 1) * size + n_pairs) + len(counts) * per_row
+    per_step = binom.size + k * ((space.cap + 1) * size + n_pairs) + len(counts) * per_row
+    step = k * len(m) * size + len(atoms) * (k * size + 3 * n_pairs)
+    _check_budget(k, space.cap, n_pairs, per_step + step)
+    pairs = _truncated_pairs(k, space.cap)
+    present = _present_rows(atoms)
+    survival = survival_path(model, steps, np.ones(k))  # r of F_0, ..., F_steps
+    scale = np.where(survival > 0.0, survival, np.inf)[:, :, None]  # f / inf = 0 where r = 0
     block = max(1, min(steps, LAW_BLOCK_BYTES // (8 * per_step)))
     v_block = np.empty((block, k, size))
-    v = np.zeros((k, size))  # F_0^(i)(s) = s_i: r = 1, v = s_i
-    if space.cap:
-        v[range(k), space.ordinals(np.eye(k, dtype=np.int64))] = 1.0
+    # v^p of the current step for p < len(m) (``used``), and v in row 1 even
+    # when len(m) = 1: its constant term stays 0, and a step divides f into
+    # the rest of it
+    powers = np.zeros((k, max(len(m), 2), size))
+    powers[:, 0, 0] = 1.0
+    if space.cap:  # F_0^(i)(s) = s_i: r = 1, v = s_i
+        powers[range(k), 1, space.ordinals(np.eye(k, dtype=np.int64))] = 1.0
+    used, v, v_rest = powers[:, : len(m)], powers[:, 1], powers[:, 1, 1:]
     for l in range(1, steps + 1):
-        r = survival[l - 1]
-        weights = binom * ((1.0 - r)[:, None] ** exponents).ravel()[at] * r[:, None] ** m
-        factors = weights.transpose(1, 0, 2) @ _powers(space, v, len(m) - 1)
-        f = factors[0]
-        for j in range(1, k):
-            f = _product(space, f, factors[j])
-        f = mix @ f
-        r = survival[l]
-        v = np.divide(f, r[:, None], out=np.zeros_like(f), where=r[:, None] > 0.0)
-        v[:, 0] = 0.0
         i = (l - 1) % block
+        if i == 0:  # (steps, k, atoms, len(m)) for the steps l, l + 1, ... of this block
+            r = survival[l - 1: l - 1 + block]
+            a0_powers = ((1.0 - r)[:, :, None] ** exponents).reshape(len(r), -1)
+            weights = binom * a0_powers[:, at] * (r[:, :, None] ** m)[:, None]
+            weights = weights.transpose(0, 2, 1, 3)
+        _fill_powers(pairs, used)
+        f = mix @ _multiply_types(pairs, weights[i] @ used, present)
+        np.divide(f[:, 1:], scale[l], out=v_rest)
         v_block[i] = v
         if i == block - 1 or l == steps:
-            yield l - i, truncated_laws(space, counts, survival[l - i: l + 1], v_block[: i + 1])
+            yield l - i, truncated_laws(space, pairs, counts, survival[l - i: l + 1],
+                                        v_block[: i + 1])
 
 
 def make_s_grid(k: int, n_points: int) -> np.ndarray:

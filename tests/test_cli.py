@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from stopbp import cli, exact_engine, spectral
+from stopbp import cli, exact_engine, genfun, spectral
 from stopbp.builtin_models import M1_TEXT, M2_TEXT
 from stopbp.cli import main
 from stopbp.model import load_model
@@ -290,6 +290,29 @@ class TestRejectedBeforeKernel:
         assert "--t 0" in caplog.text
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteAndNonpositiveArguments:
+    """A non-finite number or a grid total <= 0 is a usage error (exit 2),
+    refused before anything is computed from it."""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_tol_must_be_finite(self, m1_path, caplog, tol):
+        assert main(["series", "--model", m1_path, "--n", "[1]", "--r", "[2]",
+                     "--tol", tol]) == 2
+        assert "--tol must be finite" in caplog.text
+
+    @pytest.mark.parametrize("a", ["nan,1", "inf,1"])
+    def test_direction_must_be_finite(self, m2_path, caplog, a):
+        assert main(["probe", "--model", m2_path, "--r", "[1,0]", "--a", a,
+                     "--n-grid", "10:20:2", "--cap", "100"]) == 2
+        assert "--a must be finite" in caplog.text
+
+    @pytest.mark.parametrize("grid", ["0,5", "-5,5"])
+    def test_grid_totals_must_be_positive(self, m1_path, caplog, grid):
+        assert main(["probe", "--model", m1_path, "--r", "[2]", f"--n-grid={grid}"]) == 2
+        assert "--n-grid totals must be positive" in caplog.text
+
+
 class TestOutsideTheorem:
     """Decomposable and periodic models exit 1, as a supercritical one does."""
 
@@ -421,6 +444,23 @@ class TestSeries:
         ]) == 0
         row = [l for l in out.read_text().splitlines() if "tail_bound" in l][0]
         assert float(row.split(",")[4]) <= 1e-9
+
+    def test_oversized_laws_exit_2_before_the_pair_table(self, tmp_path, monkeypatch,
+                                                          caplog):
+        # a stopping state of total 30 in two types: 46,376 monomial pairs,
+        # about 3.7 MB by the size check's count, against a 2 MiB budget
+        doc = json.loads(M2_TEXT)
+        doc["stopping_set"] = [[15, 15]]
+        path = tmp_path / "r30.json"
+        path.write_text(json.dumps(doc))
+
+        def refuse(*args):
+            raise AssertionError("pair table built before the size check")
+        monkeypatch.setattr(exact_engine, "MEMORY_BUDGET", 2 << 20)
+        monkeypatch.setattr(genfun, "_truncated_pairs", refuse)
+        assert main(["series", "--model", str(path), "--n", "[1,0]", "--r", "[15,15]"]) == 2
+        [error] = [rec for rec in caplog.records if rec.levelname == "ERROR"]
+        assert "above the budget 2097152" in error.getMessage()
 
 
 class TestYaglom:

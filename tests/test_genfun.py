@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -24,7 +25,7 @@ from stopbp.genfun import (
     yaglom,
     yaglom_residual,
 )
-from stopbp.model import PopulationState, unit_state
+from stopbp.model import BranchingModel, OffspringLaw, PopulationState, unit_state
 from stopbp.spectral import first_moments, moments, perron_triple
 
 from oracles import free_distribution
@@ -416,6 +417,22 @@ class TestTruncatedLaws:
         assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
         assert np.array_equal(groups, np.searchsorted(c, np.arange(space.n_states)))
 
+    @pytest.mark.parametrize("k, cap", [(1, 7), (2, 10), (3, 8), (4, 5)])
+    def test_pair_count_in_closed_form(self, k, cap):
+        # the size check counts C(cap + 2k, 2k) pairs, (a, b) as one 2k-tuple
+        assert len(genfun._truncated_pairs(k, cap)[0]) == math.comb(cap + 2 * k, 2 * k)
+
+    @pytest.mark.parametrize("k, cap", [(1, 200), (3, 20), (8, 4)])
+    def test_pair_build_peak_within_the_size_check(self, k, cap):
+        # the size check books 2k + 6 int64 entries per pair for the build
+        tracemalloc.start()
+        try:
+            genfun._truncated_pairs.__wrapped__(k, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (2 * k + 6) * math.comb(cap + 2 * k, 2 * k)
+
     def test_pairs_build_without_a_size_by_size_array(self):
         # 1,771 states: a size x size sum of totals takes the traced peak to
         # 27.0 MiB; counting each state's partners keeps it near 17.6 MiB
@@ -445,6 +462,44 @@ class TestTruncatedLaws:
                 want = [exact.get(tuple(c), 0.0) for c in space.counts.tolist()]
                 np.testing.assert_allclose(row, want, rtol=1e-13, atol=1e-16)
 
+    def test_degree_zero_against_bruteforce(self, m2):
+        # truncated at degree 0 only the constant term is left, so the laws
+        # are the extinction probabilities and no power of v is taken
+        model, _ = m2
+        space = enumerate_states(2, 0)
+        counts = [(1, 0), (0, 2)]
+        laws = [step for _, block in truncated_law_blocks(model, space, counts, 4)
+                for step in block]
+        for l, step in enumerate(laws, 1):
+            for row, n in zip(step, counts):
+                want = free_distribution(model, n, l).get((0, 0), 0.0)
+                np.testing.assert_allclose(row, [want], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_sparse_atoms_against_bruteforce(self, k):
+        # type i begets nothing, one i + 1, or one i and one i + 2 (mod k):
+        # every atom lacks k - 2 types or more, and so do the starts, so the
+        # products skip most factors; degree 3, against dictionary convolution
+        offspring = []
+        for i in range(k):
+            one, two = [0] * k, [0] * k
+            one[(i + 1) % k] = 1
+            two[i] += 1
+            two[(i + 2) % k] += 1
+            offspring.append(OffspringLaw(((PopulationState((0,) * k), 0.5),
+                                           (PopulationState(tuple(one)), 0.3),
+                                           (PopulationState(tuple(two)), 0.2))))
+        model = BranchingModel(tuple(f"t{i}" for i in range(k)), tuple(offspring))
+        space = enumerate_states(k, 3)
+        counts = [(1,) + (0,) * (k - 1), (0, 2) + (0,) * (k - 2), (1, 0, 1) + (0,) * (k - 3)]
+        laws = [step for _, block in truncated_law_blocks(model, space, counts, 3)
+                for step in block]
+        for l, step in enumerate(laws, 1):
+            for row, n in zip(step, counts):
+                exact = free_distribution(model, n, l)
+                want = [exact.get(tuple(c), 0.0) for c in space.counts.tolist()]
+                np.testing.assert_allclose(row, want, rtol=1e-13, atol=1e-16)
+
     @pytest.mark.parametrize("name, cap", [("m1", 4), ("m2", 3), ("k3", 2)])
     def test_block_length_does_not_move_laws(self, request, name, cap, monkeypatch):
         # one block for all 30 steps, and one step per block
@@ -456,8 +511,8 @@ class TestTruncatedLaws:
         monkeypatch.setattr(genfun, "LAW_BLOCK_BYTES", 1)
         single = list(truncated_law_blocks(model, space, counts, 30))
         assert [l for l, _ in single] == list(range(1, 31))
-        np.testing.assert_allclose(
-            np.concatenate([block for _, block in single]), whole, rtol=1e-15, atol=0)
+        # the weights of a block are taken elementwise, so bit for bit
+        np.testing.assert_array_equal(np.concatenate([block for _, block in single]), whole)
 
 
 class TestSGrid:
