@@ -45,9 +45,7 @@ def main():
     # infinite-horizon values from the cap-free series, with the rigorous
     # bound on what is still absorbed after each start's horizon
     summary = stopbp.perron_triple(stopbp.moments(model))
-    limits = exact_engine.series_absorptions(
-        model, stopping, summary, starts, r, space.cap, tol=1e-12
-    )
+    limits = exact_engine.series_absorptions(model, stopping, summary, starts, r, tol=1e-12)
     print("\nlimiting values (with tail bound):")
     for n, res in zip(starts, limits):
         print(f"  n={n.label():>6}: q = {res.value:.12f} +- {res.tail_bound:.1e} "

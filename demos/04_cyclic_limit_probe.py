@@ -22,12 +22,9 @@ def main():
     model, stopping = stopbp.load_model((MODELS / "m1.json").read_text())
     r = stopbp.parse_state("[2]")
     grid = [int(x) for x in np.unique(np.round(np.geomspace(60, 240, 8)))]
-    print(f"probing totals {grid} at cap 1500 (partners reach "
-          f"{round(max(grid) / 0.6)})")
+    print(f"probing totals {grid}")
 
-    probe = stopbp.periodicity_probe(
-        model, stopping, r, a=[1.0], nbar_grid=grid, cap=1500
-    )
+    probe = stopbp.periodicity_probe(model, stopping, r, a=[1.0], nbar_grid=grid)
     print("\n nbar   frac(log_delta nbar)        q        defect vs partner")
     for row in probe.main_rows():
         print(f"  {row.nbar:>4}   {row.x_frac:.4f}              "

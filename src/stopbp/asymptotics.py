@@ -188,7 +188,6 @@ class ProbeReport:
 
     target: PopulationState
     delta: float
-    cap: int
     rows: list[ProbeRow] = field(default_factory=list)
 
     @property
@@ -231,7 +230,6 @@ def periodicity_probe(
     r: PopulationState,
     a: Sequence[float],
     nbar_grid: Sequence[int],
-    cap: int,
     tol: float = 1e-9,
 ) -> ProbeReport:
     """Tabulate limiting absorption along starts n = round(nbar * a).
@@ -242,10 +240,10 @@ def periodicity_probe(
     nbar <= PRE_ASYMPTOTIC_FACTOR * r0 are flagged pre-asymptotic rather
     than rejected.  Grid and partner starts all go through
     ``exact_engine.series_absorptions``, the pipeline ``stopbp series`` runs
-    too: they are checked against the cap, then share one pass over the
-    generating functions truncated at degree r0, which each start reads at
-    its own horizon, so each row's ``series_bound`` stays below tol.  No
-    state space is capped, so each row's ``overflow`` is 0.
+    too: they share one pass over the generating functions truncated at
+    degree r0, which each start reads at its own horizon, so each row's
+    ``series_bound`` stays below tol.  No state space is capped, so a start
+    of any total is accepted and each row's ``overflow`` is 0.
     """
     summary = spectral.perron_triple(spectral.moments(model))
     delta = spectral.require_subcritical(summary, "probe")
@@ -258,11 +256,9 @@ def periodicity_probe(
         for m in mains
     ]
     starts = [s for pair in zip(mains, partners) for s in pair]
-    results = exact_engine.series_absorptions(
-        model, stopping, summary, starts, r, cap, tol=tol
-    )
+    results = exact_engine.series_absorptions(model, stopping, summary, starts, r, tol=tol)
 
-    report = ProbeReport(target=r, delta=delta, cap=cap)
+    report = ProbeReport(target=r, delta=delta)
     threshold = PRE_ASYMPTOTIC_FACTOR * stopping.max_total
     for i, (start, result) in enumerate(zip(starts, results)):
         report.rows.append(ProbeRow(

@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 mathematical check failure, including a model
 outside the theorem where its hypotheses are needed (decomposable, periodic
 or not subcritical: ``spectral.OutsideTheoremError``) and a numerical limit,
 such as a series that needs more than ``exact_engine.MAX_SERIES_TERMS`` terms
-(``ArithmeticError``); 2 usage or input failure, including a cap too small
-or too large for the run (``CapacityError``).  Set BP_LOG=debug|info|warning for verbosity.
+(``ArithmeticError``); 2 usage or input failure, including a run too large
+for memory or for ``--cap``, which only ``stop-prob``, ``yaglom`` and
+``verify`` read (``CapacityError``).  Set BP_LOG=debug|info|warning for verbosity.
 """
 
 from __future__ import annotations
@@ -245,9 +246,7 @@ def cmd_series(cfg: RunConfig) -> int:
     r = _parse_state_arg(cfg.r, "r")
     summary = spectral.perron_triple(spectral.moments(model))
     spectral.require_subcritical(summary, "series")
-    [result] = exact_engine.series_absorptions(
-        model, stopping, summary, [n], r, cfg.cap, tol=cfg.tol
-    )
+    [result] = exact_engine.series_absorptions(model, stopping, summary, [n], r, tol=cfg.tol)
     table = exact_engine.AbsorptionTable()
     table.add(n, r, None, "series", result.value, result.overflow_mass)
     table.add(n, r, None, "series_tail_bound", result.tail_bound, result.overflow_mass)
@@ -297,9 +296,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     r = _parse_state_arg(cfg.r, "r")
     a = _parse_direction(cfg.a, model.k)
     grid = _parse_grid(cfg.n_grid)
-    report = asymptotics.periodicity_probe(
-        model, stopping, r, a, grid, cap=cfg.cap, tol=cfg.tol
-    )
+    report = asymptotics.periodicity_probe(model, stopping, r, a, grid, tol=cfg.tol)
     _write(cfg, report.write_csv)
     log.info("theta=%.6g over %d rows", report.theta, len(report.rows))
     if not report.theta > 0.0:
@@ -371,7 +368,8 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--model", help="model file (JSON)")
     sub.add_argument("--stop-set", dest="stop_set", help="stopping-set file override")
     sub.add_argument("--config", help="JSON config file; flags take precedence")
-    sub.add_argument("--cap", type=int, help="state-space cap on the total population")
+    sub.add_argument("--cap", type=int, help="state-space cap on the total population; "
+                     "read by stop-prob, yaglom and verify, ignored by the rest")
     sub.add_argument("--t", type=int, help="horizon (steps)")
     sub.add_argument("--tol", type=float, help="tolerance for series/route checks")
     sub.add_argument("--seed", type=int, help="master seed for Monte Carlo")

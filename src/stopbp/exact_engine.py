@@ -27,10 +27,10 @@ passage or pinned), give each route on its own: ``stopped_hitting_column``
 passage) and ``hitting_columns`` (free chain).  The verify battery and the
 tests check the table against them.
 
-Every start is checked once, by ``check_starts``, which needs only the
-stopping set and the cap, so a bad start fails before a kernel exists.
+Every dense start is checked once, by ``check_starts``, which needs only
+the stopping set and the cap, so a bad start fails before a kernel exists.
 ``series_absorptions`` is the one series pipeline that ``stopbp series``
-and the probe run, and it needs no cap and no kernel: every stopping state
+and the probe run, and it takes no cap and no kernel: every stopping state
 has total <= r0, so the laws P(Z_l = beta), beta in S, come from generating
 functions truncated at degree r0 (``genfun.truncated_law_blocks``), a block
 of steps at a time.  They are summed into expected visits to S, and one
@@ -555,22 +555,23 @@ def series_absorptions(
     summary,
     starts: Sequence[PopulationState],
     r: PopulationState,
-    cap: int,
     tol: float = 1e-10,
 ) -> list[LimitingAbsorption]:
     """Infinite-horizon absorption probabilities from ``starts``, cap-free.
 
-    The pipeline behind ``stopbp series`` and the probe: the starts pass
-    ``check_starts`` against ``cap`` first.  Every state of S has total <=
-    r0 = ``stopping.max_total``, so only the laws P(Z_l = beta), beta in S,
-    enter, and ``genfun.truncated_law_blocks`` gives them at degree r0, from
-    every alpha in S and every start n, a block of steps at a time.  They
-    are summed into the expected visits to S, B[alpha, beta] = sum_(l <= T*)
-    P_alpha(Z_l = beta) and H_n[beta] = sum_(l <= T_n) P_n(Z_l = beta), with
-    T_n the horizon of n at tol / 2 and T* the largest.  Every visit is a
-    first entrance followed by the visits from there, so H_n = g_n (I + B)
-    up to the visits after T_n, and the first-entrance value at r is read
-    off one |S| x |S| solve, g_n[r] = H_n (I + B)^-1 e_r.
+    The pipeline behind ``stopbp series`` and the probe; it takes no cap,
+    and its starts pass ``check_absorption_starts`` alone.  Every state of S
+    has total <= r0 = ``stopping.max_total``, so only the laws P(Z_l = beta),
+    beta in S, enter, and ``genfun.truncated_law_blocks`` gives them at
+    degree r0, from every alpha in S and every start n, a block of steps at
+    a time.  They are summed in step order, so that a block's length moves
+    no digit, into the expected visits to S,
+    B[alpha, beta] = sum_(l <= T*) P_alpha(Z_l = beta) and H_n[beta] =
+    sum_(l <= T_n) P_n(Z_l = beta), with T_n the horizon of n at tol / 2
+    and T* the largest.  Every visit is a first entrance followed by the
+    visits from there, so H_n = g_n (I + B) up to the visits after T_n, and
+    the first-entrance value at r is read off one |S| x |S| solve,
+    g_n[r] = H_n (I + B)^-1 e_r.
 
     The reported ``tail_bound`` is b_n (1 + phi_r), with b_n the geometric
     tail bound of n at T_n and phi_r = max_alpha |(I + B)^-1[alpha, r]|:
@@ -579,13 +580,13 @@ def series_absorptions(
     with G the substochastic law of the first return to S, so phi_r <= 1
     and the bound stays below tol.  The value is clipped to [0, 1], where
     q lies, so rounding in the signed solve never reports a negative
-    probability and the clip never adds to the error.  No state space at
-    the cap is built, so ``overflow_mass`` is 0, and ``terms`` is T_n.
+    probability and the clip never adds to the error.  No capped state
+    space is built, so ``overflow_mass`` is 0, and ``terms`` is T_n.
     """
     from stopbp import genfun  # genfun imports this module
 
     starts = list(starts)
-    check_starts(stopping, starts, r, cap)
+    check_absorption_starts(stopping, starts, r)
     horizons = [_horizon(summary, n.counts, tol / 2) for n in starts]
     terms = np.array([t for t, _ in horizons], dtype=np.int64)
     steps = int(terms.max(initial=0))
@@ -597,8 +598,8 @@ def series_absorptions(
     last = np.concatenate([np.full(m, steps), terms])  # the last step each row sums
     visits = np.zeros((len(counts), m))  # B, then H_n per start
     for l, laws in genfun.truncated_law_blocks(model, space, counts, steps):
-        due = (l + np.arange(len(laws)))[:, None] <= last
-        visits += np.einsum("ln,lnb->nb", due, laws[..., cols])
+        due = ((l + np.arange(len(laws)))[:, None] <= last)[..., None]
+        visits = np.cumsum(np.concatenate([visits[None], due * laws[..., cols]]), axis=0)[-1]
     column = np.linalg.solve(np.eye(m) + visits[:m], np.eye(m)[:, members.index(r)])
     phi = float(np.abs(column).max())
     return [

@@ -45,20 +45,19 @@ PROBE_GRID = [int(x) for x in np.unique(np.round(np.geomspace(100, 500, 12)))]
 
 
 @pytest.fixture(scope="module")
-def probe4000(m1):
+def probe_fine(m1):
     model, stopping = m1
     start = time.perf_counter()
-    probe = asymptotics.periodicity_probe(
-        model, stopping, S((2,)), [1.0], PROBE_GRID, cap=4000
-    )
+    probe = asymptotics.periodicity_probe(model, stopping, S((2,)), [1.0], PROBE_GRID)
     return probe, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def probe2000(m1):
+def probe_coarse(m1):
+    # the probe is cap-free, so its one truncation is the series tolerance
     model, stopping = m1
     return asymptotics.periodicity_probe(
-        model, stopping, S((2,)), [1.0], PROBE_GRID, cap=2000
+        model, stopping, S((2,)), [1.0], PROBE_GRID, tol=1e-6
     )
 
 
@@ -286,8 +285,8 @@ def test_c10_monte_carlo_battery(m1, m2, kernels60):
     assert workers_match
 
 
-def test_c11_periodicity_probe(probe4000):
-    probe, elapsed = probe4000
+def test_c11_periodicity_probe(probe_fine):
+    probe, elapsed = probe_fine
     defects = [row.defect for row in probe.main_rows()]
     worst = max(defects)
     increases = max(
@@ -303,13 +302,13 @@ def test_c11_periodicity_probe(probe4000):
     assert elapsed < 60.0
 
 
-def test_c12_theta_positive_and_stable(probe4000, probe2000):
-    probe_hi, _ = probe4000
+def test_c12_theta_positive_and_stable(probe_fine, probe_coarse):
+    probe_hi, _ = probe_fine
     theta_hi = probe_hi.theta
-    theta_lo = probe2000.theta
+    theta_lo = probe_coarse.theta
     rel = abs(theta_hi - theta_lo) / theta_hi
     ok = theta_hi > 0 and theta_lo > 0 and rel <= 0.10
-    report(12, ok, f"theta: cap4000={theta_hi:.6f}, cap2000={theta_lo:.6f}, "
+    report(12, ok, f"theta: tol 1e-9={theta_hi:.6f}, tol 1e-6={theta_lo:.6f}, "
                    f"relative gap={rel:.2e} (tol 10%)")
     assert theta_hi > 0 and theta_lo > 0
     assert rel <= 0.10
@@ -341,7 +340,7 @@ def test_c13_cyclic_basis_machinery(m1, m1_summary):
         )
         for x in xs
     ]
-    probe = asymptotics.ProbeReport(target=S((2,)), delta=0.3, cap=0, rows=rows)
+    probe = asymptotics.ProbeReport(target=S((2,)), delta=0.3, rows=rows)
     fit = asymptotics.fit_cyclic_amplitudes(probe, synthetic)
     rec_err = float(np.max(np.abs(fit.amplitudes - truth)))
     ok = defect_ok and rec_err <= 1e-6

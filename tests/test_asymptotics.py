@@ -13,7 +13,6 @@ from stopbp.asymptotics import (
     periodicity_probe,
     round_to_direction,
 )
-from stopbp.exact_engine import CapacityError
 from stopbp.model import BranchingModel, PopulationState, StoppingSet
 from stopbp.spectral import moments, perron_triple, survival_constants
 from test_spectral import _permute_law
@@ -32,9 +31,7 @@ def m1_summary_with_k(m1):
 @pytest.fixture(scope="module")
 def m1_probe(m1):
     model, stopping = m1
-    return periodicity_probe(
-        model, stopping, S((2,)), [1.0], [40, 55, 75, 100], cap=800
-    )
+    return periodicity_probe(model, stopping, S((2,)), [1.0], [40, 55, 75, 100])
 
 
 class TestEvalHj:
@@ -170,26 +167,19 @@ class TestPeriodicityProbe:
 
     def test_tiny_grid_flagged_pre_asymptotic(self, m1):
         model, stopping = m1
-        report = periodicity_probe(
-            model, stopping, S((2,)), [1.0], [3, 4], cap=400
-        )
+        report = periodicity_probe(model, stopping, S((2,)), [1.0], [3, 4])
         assert all(row.pre_asymptotic for row in report.main_rows())
 
     def test_adjusts_start_out_of_stopping_set(self, m1):
         # nbar = 2 rounds exactly onto the stopping state and is nudged
         model, stopping = m1
-        report = periodicity_probe(model, stopping, S((2,)), [1.0], [2], cap=400)
+        report = periodicity_probe(model, stopping, S((2,)), [1.0], [2])
         assert report.main_rows()[0].state not in stopping
-
-    def test_cap_too_small(self, m1):
-        model, stopping = m1
-        with pytest.raises(CapacityError):
-            periodicity_probe(model, stopping, S((2,)), [1.0], [150], cap=160)
 
     def test_supercritical_rejected(self, supercritical):
         model, stopping = supercritical
         with pytest.raises(ValueError, match="subcritical"):
-            periodicity_probe(model, stopping, S((2,)), [1.0], [50], cap=400)
+            periodicity_probe(model, stopping, S((2,)), [1.0], [50])
 
     def test_rows_certified_to_tol(self, m1):
         # each start reads the series at its own horizon, the first step at
@@ -198,7 +188,7 @@ class TestPeriodicityProbe:
         model, stopping = m1
         tol = 1e-9
         report = periodicity_probe(
-            model, stopping, S((2,)), [1.0], [70, 150, 300, 800], cap=4000, tol=tol
+            model, stopping, S((2,)), [1.0], [70, 150, 300, 800], tol=tol
         )
         assert max(row.nbar for row in report.rows) > 800
         for row in report.rows:
@@ -226,7 +216,7 @@ class TestAmplitudeFit:
             )
             for x in xs
         ]
-        return ProbeReport(target=S((2,)), delta=cyclic.delta, cap=0, rows=rows)
+        return ProbeReport(target=S((2,)), delta=cyclic.delta, rows=rows)
 
     def test_recovers_synthetic_amplitudes(self):
         # delta = 0.3 gives a visibly oscillating basis (design condition

@@ -262,14 +262,14 @@ class TestRejectedBeforeKernel:
             raise AssertionError("kernel built before the start check")
         monkeypatch.setattr(exact_engine, "one_step_kernel", refuse)
 
-    @pytest.mark.parametrize("command", ["series", "stop-prob"])
+    @pytest.mark.parametrize("command", ["stop-prob"])
     def test_start_beyond_cap_exit_2(self, m2_path, command):
         assert main([
             command, "--model", m2_path, "--n", "[0,200]", "--r", "[1,0]",
             "--t", "5", "--cap", "150",
         ]) == 2
 
-    @pytest.mark.parametrize("command", ["series", "stop-prob"])
+    @pytest.mark.parametrize("command", ["stop-prob"])
     def test_stopping_set_beyond_cap_exit_2(self, m1_path, command):
         assert main([
             command, "--model", m1_path, "--n", "[1]", "--r", "[2]", "--t", "3",
@@ -463,6 +463,32 @@ class TestSeries:
         assert "above the budget 2097152" in error.getMessage()
 
 
+class TestCapIgnored:
+    """``series`` and ``probe`` build no capped state space: ``--cap`` parses
+    and changes nothing, though it lies below a start or the stopping set."""
+
+    @pytest.mark.parametrize("command, model, args", [
+        ("series", "m2", ["--n", "[0,200]", "--r", "[1,0]"]),
+        ("probe", "m2", ["--r", "[1,0]", "--n-grid", "100:300:3"]),
+        ("series", "m1", ["--n", "[1]", "--r", "[2]"]),
+        ("probe", "m1", ["--r", "[2]", "--n-grid", "40:90:3"]),
+    ])
+    def test_same_bytes_with_and_without_cap(self, request, capsys, command, model, args):
+        path = request.getfixturevalue(f"{model}_path")
+        printed = []
+        for cap in (["--cap", "1"], ["--cap", "150"], []):
+            assert main([command, "--model", path, *args, *cap]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == printed[2]
+
+    def test_series_start_above_the_old_cap(self, m2_path, capsys):
+        assert main([
+            "series", "--model", m2_path, "--n", "[0,200]", "--r", "[1,0]", "--cap", "150",
+        ]) == 0
+        q = [line.rsplit(",", 2)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert q == ["0.42237689546916068", "5.7277491945465179e-10"]
+
+
 class TestYaglom:
     def test_m1_law(self, m1_path, tmp_path):
         out = tmp_path / "y.csv"
@@ -498,11 +524,14 @@ class TestProbe:
             "--cap", "100",
         ]) == 1
 
-    def test_cap_too_small_exit_2(self, m1_path):
+    def test_start_of_total_1e12_without_cap(self, m1_path, capsys):
         assert main([
-            "probe", "--model", m1_path, "--r", "[2]", "--a", "1.0",
-            "--n-grid", "300:400:2", "--cap", "310",
-        ]) == 2
+            "probe", "--model", m1_path, "--r", "[2]",
+            "--n-grid", "1000000000000:1000000000000:1",
+        ]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith('"[1000000000000]",1000000000000,')
+        assert row.split(",")[3] == "0.6948573325643923"
 
     def test_bad_grid_exit_2(self, m1_path):
         assert main([

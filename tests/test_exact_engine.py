@@ -561,7 +561,7 @@ def assert_matches_dense(model, stopping, cap, starts, tol=1e-10):
     starts = [S(counts) for counts in starts]
     for r in stopping:
         dense = limiting_absorptions(kernel, stopping, summary, starts, r, tol=tol)
-        free = series_absorptions(model, stopping, summary, starts, r, cap, tol=tol)
+        free = series_absorptions(model, stopping, summary, starts, r, tol=tol)
         for n, got, want in zip(starts, free, dense):
             assert got.tail_bound <= tol
             assert got.overflow_mass == 0.0
@@ -582,7 +582,7 @@ def assert_solve_matches_renewal(model, stopping, starts, tol=1e-10):
     counts = [a.counts for a in members] + [n.counts for n in starts]
     m = len(members)
     for j, r in enumerate(members):
-        results = series_absorptions(model, stopping, summary, starts, r, 10**6, tol=tol)
+        results = series_absorptions(model, stopping, summary, starts, r, tol=tol)
         steps = max(res.terms for res in results)
         laws = np.concatenate([block for _, block in genfun.truncated_law_blocks(
             model, space, counts, steps)])[..., cols]
@@ -632,7 +632,7 @@ class TestSeriesAbsorptions:
         tracemalloc.start()
         try:
             [result] = series_absorptions(
-                model, stopping, summary, [S((40,))], S((2,)), 200, tol=1e-10)
+                model, stopping, summary, [S((40,))], S((2,)), tol=1e-10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -654,9 +654,34 @@ class TestSeriesAbsorptions:
         monkeypatch.setattr(exact_engine, "one_step_kernel", refuse_kernel)
         monkeypatch.setattr(exact_engine, "enumerate_states", degree_only)
         [result] = series_absorptions(
-            model, stopping, summary, [S((30, 40))], S((1, 0)), 10**6, tol=1e-10
+            model, stopping, summary, [S((30, 40))], S((1, 0)), tol=1e-10
         )
         assert 0.0 < result.value < 1.0
+
+    def test_block_length_does_not_move_values(self, m1, monkeypatch):
+        # the laws are summed in step order, the running total first, so the
+        # values of several blocks are those of one block, bit for bit
+        model, stopping = m1
+        summary = perron_triple(moments(model))
+        starts = [S((3,)), S((7,)), S((40,)), S((1000,))]
+        laws = genfun.truncated_law_blocks
+        blocks = []
+
+        def counted(*args):
+            out = list(laws(*args))
+            blocks.append(len(out))
+            return iter(out)
+
+        def series():
+            results = series_absorptions(model, stopping, summary, starts, S((2,)), tol=1e-12)
+            return [(res.value, res.tail_bound) for res in results]
+
+        monkeypatch.setattr(genfun, "truncated_law_blocks", counted)
+        whole = series()
+        for block_bytes in (1600, 3200):
+            monkeypatch.setattr(genfun, "LAW_BLOCK_BYTES", block_bytes)
+            assert series() == whole, block_bytes
+        assert blocks[0] == 1 and min(blocks[1:]) > 1
 
     @pytest.mark.parametrize("name, r, starts", [
         ("m1", (2,), [(10**6,), (10**9,)]),
@@ -670,7 +695,7 @@ class TestSeriesAbsorptions:
         text = request.getfixturevalue(f"{name}_text")
         summary = perron_triple(moments(model))
         results = series_absorptions(
-            model, stopping, summary, [S(n) for n in starts], S(r), 10**10, tol=1e-12
+            model, stopping, summary, [S(n) for n in starts], S(r), tol=1e-12
         )
         for n, result in zip(starts, results):
             reference = mp_absorption(text, n, r, result.terms)

@@ -94,7 +94,8 @@ def test_series_against_dense_and_renewal(case):
 @example((*load_model(PERIODIC_TEXT), [(0, 2)]))
 def test_cli_exit_codes(case):
     # classify and series return 0, 1 or 2 and never raise; series succeeds
-    # only on a model that classify accepts
+    # only on a model that classify accepts.  probe, cap-free, at a total of
+    # 10^6 returns 0 or 1 and succeeds only where classify does
     model, stopping, starts = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
@@ -107,12 +108,17 @@ def test_cli_exit_codes(case):
             "--n", PopulationState(starts[0]).label(),
             "--r", stopping.sorted_members()[0].label(),
         ])
+        probe = main([
+            "probe", "--model", path, "--out", out, "--n-grid", "1000000",
+            "--r", stopping.sorted_members()[0].label(),
+        ])
         # cap 8 keeps the kernel of k = 3 at 165 states
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
             verify = main(["verify", "--model", path, "--cap", "8"])
     assert classify in (0, 1, 2) and series in (0, 1, 2)
     assert series != 0 or classify == 0
+    assert probe in (0, 1) and (probe != 0 or classify == 0)
     # verify raises nothing, prints its twelve checks and skips exactly
     # those whose hypothesis classify finds missing
     lines = printed.getvalue().splitlines()
