@@ -590,7 +590,15 @@ def series_absorptions(
     horizons = [_horizon(summary, n.counts, tol / 2) for n in starts]
     terms = np.array([t for t, _ in horizons], dtype=np.int64)
     steps = int(terms.max(initial=0))
-    space = enumerate_states(model.k, stopping.max_total)
+    r0 = stopping.max_total
+    monomials = math.comb(r0 + model.k, model.k)
+    if monomials > DEFAULT_STATE_LIMIT:
+        raise CapacityError(
+            f"stopping set reaches total r0={r0}: laws truncated at degree r0 in "
+            f"k={model.k} types have C(r0 + k, k) = {monomials} monomials, above the "
+            f"limit {DEFAULT_STATE_LIMIT}"
+        )
+    space = enumerate_states(model.k, r0)
     members = stopping.sorted_members()
     cols = space.ordinals([a.counts for a in members])
     counts = np.array([a.counts for a in members] + [n.counts for n in starts])

@@ -73,7 +73,9 @@ def _survival_step(atoms: np.ndarray, mix: np.ndarray, r: np.ndarray) -> np.ndar
     """1 - h(1 - r) by 1 - prod_j (1 - r_j)^c_j = -expm1(sum_j c_j log1p(-r_j)),
     exact in relative terms for r arbitrarily close to 0, where the plain form
     cancels to zero; r >= 1 counts as log 0, which a count c = 0 zeroes."""
-    logs = np.log1p(-r, out=np.full(r.shape, _LOG_ZERO), where=r < 1.0)
+    logs = np.empty(r.shape)
+    logs.fill(_LOG_ZERO)
+    np.log1p(-r, out=logs, where=r < 1.0)
     return -(np.expm1(logs @ atoms.T) @ mix.T)
 
 
@@ -196,16 +198,18 @@ def truncated_laws(space, pairs, counts, r: np.ndarray, v: np.ndarray) -> np.nda
     return _multiply_types(pairs, factors.swapaxes(0, 1), _present_rows(rows[..., 0]))
 
 
-def _check_budget(k: int, cap: int, n_pairs: int, step_entries: int):
-    """Raise ``CapacityError`` unless the pair table at (k, cap), built at
-    (2k + 6) int64 entries per pair (its traced peak is 7.0 to 23.1 for k =
-    1..10), and ``step_entries`` float64 entries fit ``MEMORY_BUDGET``."""
+def _check_budget(k: int, cap: int, n_pairs: int, step_entries: int) -> int:
+    """The bytes booked for the pair table at (k, cap), built at (2k + 6)
+    int64 entries per pair (its traced peak is 7.0 to 23.1 for k = 1..10),
+    and ``step_entries`` float64 entries; ``CapacityError`` unless they fit
+    ``MEMORY_BUDGET``."""
     need = 8 * ((2 * k + 6) * n_pairs + step_entries)
     if need > exact_engine.MEMORY_BUDGET:
         raise exact_engine.CapacityError(
             f"laws truncated at degree {cap} in {k} types need about {need} bytes "
             f"({n_pairs} monomial pairs), above the budget {exact_engine.MEMORY_BUDGET}"
         )
+    return need
 
 
 def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):

@@ -8,7 +8,13 @@ and estimates are bit-exact reproducible from (seed, reps) alone.
 
 One batched engine, ``_simulate_stopped_batch``, runs every trajectory; the
 conditional-law estimator runs it with an empty stopping set (the free
-process).  Estimators run the trajectory indices as consecutive chunks of at
+process).  It carries only the running trajectories, their states, keys,
+draw counters and indices, and returns records (``Outcomes``): when a
+trajectory enters S or explodes, its (index, step, state); when it is still
+alive at the horizon, its (index, state); when it dies, nothing.
+``estimate_absorption`` counts the stopped records at r, and
+``estimate_yaglom`` tallies the alive states and refuses any explosion.
+Estimators run the trajectory indices as consecutive chunks of at
 most ``PARTICLE_BUDGET`` starting particles, on up to ``workers`` threads (no
 more than the usable CPUs), so the memory of a request does not grow with
 ``reps``.
@@ -31,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import sqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -165,8 +171,36 @@ def _stop_mask(states: np.ndarray, stopping: Iterable[PopulationState]) -> np.nd
     """Columns of the type-major ``states`` that equal a member of ``stopping``."""
     mask = np.zeros(states.shape[1], dtype=bool)
     for member in stopping:
-        mask |= np.logical_and.reduce([row == c for row, c in zip(states, member.counts)])
+        hit = states[0] == member.counts[0]
+        for row, c in zip(states[1:], member.counts[1:]):
+            hit &= row == c
+        mask |= hit
     return mask
+
+
+class Outcomes(NamedTuple):
+    """Records of one batch's trajectories that did not die by ``t_max``.
+
+    ``stopped`` and ``exploded`` are (index, step, states) for the
+    trajectories that entered S or exceeded ``EXPLOSION_LIMIT`` particles,
+    ``alive`` is (index, states) for those still running at ``t_max``; states
+    are (n, k) rows.  A trajectory that died leaves no record.
+    """
+
+    stopped: tuple[np.ndarray, np.ndarray, np.ndarray]
+    exploded: tuple[np.ndarray, np.ndarray, np.ndarray]
+    alive: tuple[np.ndarray, np.ndarray]
+
+
+def _record(records: list, rows: np.ndarray, t: int, index: np.ndarray, states: np.ndarray):
+    records.append((index.take(rows), np.full(rows.size, t), states.take(rows, axis=1)))
+
+
+def _joined(records: list, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if not records:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, k), np.int64)
+    index, steps, states = zip(*records)
+    return np.concatenate(index), np.concatenate(steps), np.concatenate(states, axis=1).T
 
 
 def _simulate_stopped_batch(
@@ -176,45 +210,46 @@ def _simulate_stopped_batch(
     t_max: int,
     seed: int,
     indices: np.ndarray,
-):
-    """Outcome arrays (status code, final state rows, steps) for given trajectories.
+) -> Outcomes:
+    """Run the trajectories ``indices`` from ``start`` for up to ``t_max`` steps.
 
-    Status codes: 0 alive, 1 died, 2 stopped, 3 exploded (total above
-    ``EXPLOSION_LIMIT``).  An empty ``stopping`` runs the free process.
-    ``final`` is (m, k), the transpose of a type-major array.
+    A trajectory ends at the first step whose state has total 0 (died, no
+    record), equals a member of ``stopping`` (a ``stopped`` record) or has a
+    total above ``EXPLOSION_LIMIT`` (an ``exploded`` record), tested in that
+    order; one still running at ``t_max`` leaves an ``alive`` record.  The
+    loop carries only the running trajectories' states, keys, counters and
+    indices.  An empty ``stopping`` runs the free process.
     """
     samplers = _samplers(model)
-    m = len(indices)
-    status = np.zeros(m, dtype=np.int8)
-    steps = np.full(m, t_max, dtype=np.int64)
-    final = np.repeat(np.asarray(start.counts, dtype=np.int64)[:, None], m, axis=1)
-    # live arrays carry only still-running trajectories
-    active = np.arange(m)
-    states = final.copy()
-    keys = trajectory_keys(seed, indices)
-    counters = np.zeros(m, dtype=np.uint64)
+    stopping = tuple(stopping)
+    index = np.asarray(indices, dtype=np.int64)
+    keys = trajectory_keys(seed, index)
+    counters = np.zeros(len(index), dtype=np.uint64)
+    states = np.repeat(np.asarray(start.counts, dtype=np.int64)[:, None], len(index), axis=1)
+    stopped, exploded = [], []
     for t in range(1, t_max + 1):
-        if active.size == 0:
+        if index.size == 0:
             break
         states = _batch_step(states, keys, counters, samplers)
         totals = states.sum(axis=0)
-        died = totals == 0
-        stopped = _stop_mask(states, stopping)
-        done = died | stopped | (totals > EXPLOSION_LIMIT)
-        gone = np.flatnonzero(done)
-        if gone.size == 0:
+        done = totals == 0
+        if stopping:
+            hit = _stop_mask(states, stopping)
+            if hit.any():
+                _record(stopped, np.flatnonzero(hit), t, index, states)
+                done |= hit
+        big = totals > EXPLOSION_LIMIT
+        if big.any():
+            big &= ~done
+            _record(exploded, np.flatnonzero(big), t, index, states)
+            done |= big
+        if not done.any():
             continue
-        rows = active[gone]
-        status[rows] = np.where(died[gone], 1, np.where(stopped[gone], 2, 3))
-        steps[rows] = t
-        for row, live in zip(final, states):
-            row[rows] = live.take(gone)
         # take picks columns several times faster than fancy indexing
         keep = np.flatnonzero(~done)
-        active, keys, counters = active[keep], keys[keep], counters[keep]
+        index, keys, counters = index.take(keep), keys.take(keep), counters.take(keep)
         states = states.take(keep, axis=1)
-    final[:, active] = states
-    return status, final.T, steps
+    return Outcomes(_joined(stopped, model.k), _joined(exploded, model.k), (index, states.T))
 
 
 @dataclass(eq=False)
@@ -276,8 +311,8 @@ def estimate_absorption(
     check_absorption_starts(stopping, [n], r)
 
     def count_hits(indices: np.ndarray) -> int:
-        status, final, _ = _simulate_stopped_batch(model, n, stopping, t, seed, indices)
-        return int(np.count_nonzero((status == 2) & _stop_mask(final.T, [r])))
+        _, _, states = _simulate_stopped_batch(model, n, stopping, t, seed, indices).stopped
+        return int(np.count_nonzero(_stop_mask(states.T, [r])))
 
     hits = sum(_map_chunks(count_hits, reps, n, workers))
     p = hits / reps
@@ -339,13 +374,13 @@ def estimate_yaglom(
     start = unit_state(j, model.k)
 
     def run(indices: np.ndarray):
-        status, final, _ = _simulate_stopped_batch(model, start, (), t, seed, indices)
-        if np.any(status == 3):
+        outcomes = _simulate_stopped_batch(model, start, (), t, seed, indices)
+        if outcomes.exploded[0].size:
             raise ValueError(
                 f"a trajectory exceeded {EXPLOSION_LIMIT} particles by t={t}; "
                 "the conditional law needs a subcritical model"
             )
-        return np.unique(final[status == 0], axis=0, return_counts=True)
+        return np.unique(outcomes.alive[1], axis=0, return_counts=True)
 
     counts: dict[tuple[int, ...], int] = {}
     for uniq, cnt in _map_chunks(run, reps, start, workers):

@@ -367,6 +367,22 @@ class TestNumericalLimits:
         assert "classified critical" in err[0]
 
 
+    @pytest.mark.parametrize("command, args", [
+        ("series", ["--n", "[1,0]"]), ("probe", ["--n-grid", "10:20:2"]),
+    ])
+    def test_oversized_stopping_total_names_the_monomials(self, tmp_path, command, args):
+        # r0 = 2000 in two types: 2,003,001 monomials, over the state limit;
+        # the cap-free path names them, and no cap or dense kernel
+        doc = json.loads(M2_TEXT)
+        doc["stopping_set"] = [[1000, 1000]]
+        path = tmp_path / "r2000.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_cli(command, "--model", str(path), *args, "--r", "[1000,1000]")
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith("ERROR stopping set reaches total r0=2000")
+        assert "C(r0 + k, k) = 2003001 monomials" in err[0]
+        assert "cap=" not in err[0] and "dense kernel" not in err[0]
+
 class TestSeries:
     def test_m1_limit(self, m1_path, tmp_path):
         out = tmp_path / "s.csv"

@@ -639,6 +639,35 @@ class TestSeriesAbsorptions:
         assert result.terms > 6000 and result.tail_bound <= 1e-10
         assert peak < 16 << 20
 
+    def test_eight_types_peak_within_the_size_check(self, monkeypatch):
+        # k = 8, r0 = 4: 495 monomials and C(20, 16) = 4,845 pairs.  The
+        # whole call, pair table included, stays below the bytes that the
+        # size check books for it (about 2.3 of 5.3 MB)
+        k = 8
+
+        def state(*types):
+            return S(tuple(types.count(i) for i in range(k)))
+
+        # type i dies, begets one i + 1, or one i and one i + 3: delta = 0.6
+        laws = tuple(OffspringLaw(((state(), 0.55), (state((i + 1) % k), 0.3),
+                                   (state(i, (i + 3) % k), 0.15))) for i in range(k))
+        model = BranchingModel(tuple(f"t{i}" for i in range(k)), laws)
+        stopping = StoppingSet(frozenset({state(0, 1, 2, 3), state(7, 7, 7, 7), state(0, 0)}))
+        summary = perron_triple(moments(model))
+        booked = []
+        check = genfun._check_budget
+        monkeypatch.setattr(genfun, "_check_budget", lambda *a: booked.append(check(*a)))
+        genfun._truncated_pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            results = series_absorptions(
+                model, stopping, summary, [S((1000,) * k), state(0, 1)], state(0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(0.0 < r.value < 1.0 for r in results)
+        assert len(booked) == 1 and peak < booked[0]
+
     def test_builds_no_kernel(self, m2, monkeypatch):
         model, stopping = m2
         summary = perron_triple(moments(model))

@@ -135,6 +135,25 @@ class TestSurvivalMap:
         assert np.array_equal(path[:, 1], np.zeros((61, 2)))
 
 
+    def test_path_with_no_zero_atom(self):
+        # types 1-3 always beget the next type and only type 4 can die, so
+        # type 1's survival stays exactly 1 for three steps: each of those
+        # steps takes log 0 where r = 1
+        S = PopulationState
+        laws = (
+            OffspringLaw(((S((0, 1, 0, 0)), 0.5), (S((0, 2, 0, 0)), 0.5))),
+            OffspringLaw(((S((0, 0, 1, 0)), 1.0),)),
+            OffspringLaw(((S((0, 0, 0, 1)), 0.7), (S((1, 0, 1, 0)), 0.3))),
+            OffspringLaw(((S((0, 0, 0, 0)), 0.6), (S((1, 0, 0, 0)), 0.4))),
+        )
+        model = BranchingModel(("a", "b", "c", "d"), laws)
+        r = np.ones(4)
+        path = survival_path(model, 12, r)
+        assert np.all(path[:4, 0] == 1.0) and np.all(path[4:, 0] < 1.0)
+        for l in range(13):
+            assert np.array_equal(path[l], r)
+            r = survival_map(model, r)
+
 class TestIterateH:
     def test_zero_steps_identity(self, m2):
         model, _ = m2

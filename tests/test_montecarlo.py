@@ -56,6 +56,34 @@ def particle_reference(model, rows, seed):
     return out, draws
 
 
+def records(outcomes):
+    """The engine's records by trajectory index: (kind, step, state), with
+    step None for a trajectory alive at the horizon; a trajectory that died
+    has none."""
+    out = {}
+    for kind in ("stopped", "exploded"):
+        for i, step, state in zip(*getattr(outcomes, kind)):
+            out[int(i)] = (kind, int(step), tuple(int(x) for x in state))
+    for i, state in zip(*outcomes.alive):
+        out[int(i)] = ("alive", None, tuple(int(x) for x in state))
+    return out
+
+
+def outcome_arrays(outcomes, m, t_max, k):
+    """The (status, final, steps) arrays of the engine that filled one row per
+    trajectory (0 alive, 1 died, 2 stopped, 3 exploded; final (m, k)), rebuilt
+    from the records.  A died row, which has no record, reads status 1, final
+    0 and step -1."""
+    status = np.ones(m, dtype=np.int8)
+    final = np.zeros((m, k), dtype=np.int64)
+    steps = np.full(m, -1, dtype=np.int64)
+    for code, (index, step, states) in ((2, outcomes.stopped), (3, outcomes.exploded)):
+        status[index], steps[index], final[index] = code, step, states
+    index, states = outcomes.alive
+    status[index], steps[index], final[index] = 0, t_max, states
+    return status, final, steps
+
+
 class TestCounterStream:
     def test_deterministic(self):
         idx = np.arange(10)
@@ -177,41 +205,47 @@ class TestStreamPinned:
             np.testing.assert_array_equal(draws, want_draws)
 
     def test_one_trajectory_batches(self, m2):
+        # each trajectory leaves the same record, or none, run alone as
+        # inside a batch of 40; at t_max = 3 some are still alive
         model, stopping = m2
-        whole = _simulate_stopped_batch(
-            model, S((1, 1)), stopping, 18, 21, np.arange(40)
-        )
-        for i in (0, 17, 39):
-            alone = _simulate_stopped_batch(
-                model, S((1, 1)), stopping, 18, 21, np.array([i])
-            )
-            for got, want in zip(alone, whole):
-                np.testing.assert_array_equal(got, want[i : i + 1])
+        for t_max, kinds in ((18, {"stopped"}), (3, {"stopped", "alive"})):
+            whole = records(_simulate_stopped_batch(
+                model, S((1, 1)), stopping, t_max, 21, np.arange(40)
+            ))
+            assert {kind for kind, _, _ in whole.values()} == kinds
+            assert len(whole) < 40  # some died
+            for i in range(40):
+                alone = records(_simulate_stopped_batch(
+                    model, S((1, 1)), stopping, t_max, 21, np.array([i])
+                ))
+                assert alone == ({i: whole[i]} if i in whole else {})
 
 
 class TestRunStopped:
     def test_m1_one_step_resolution(self, m1):
         # from one particle the trajectory always resolves at step 1:
-        # either dead at 0 or stopped at (2)
+        # either dead at 0 or stopped at (2), so at t_max = 1 none is alive
         model, stopping = m1
-        status, final, steps = _simulate_stopped_batch(
-            model, S((1,)), stopping, 50, 3, np.arange(20_000)
-        )
-        assert np.all(steps == 1)
-        assert set(np.unique(status)) <= {1, 2}  # died, stopped
-        assert np.all(final[status == 2] == [2])
-        stops = int(np.sum(status == 2))
+        for t_max in (1, 50):
+            out = _simulate_stopped_batch(
+                model, S((1,)), stopping, t_max, 3, np.arange(20_000)
+            )
+            assert out.alive[0].size == 0 and out.exploded[0].size == 0
+            index, steps, final = out.stopped
+            assert np.all(steps == 1)
+            assert np.all(final == [2])
+            assert np.array_equal(index, np.sort(index))
+        stops = len(index)
         sigma = np.sqrt(0.3 * 0.7 / 20_000)
         assert abs(stops / 20_000 - 0.3) <= 4 * sigma
 
     def test_zero_horizon(self, m1):
         model, stopping = m1
-        status, final, steps = _simulate_stopped_batch(
-            model, S((1,)), stopping, 0, 0, np.arange(10)
-        )
-        assert np.all(status == 0)  # alive
+        out = _simulate_stopped_batch(model, S((1,)), stopping, 0, 0, np.arange(10))
+        index, final = out.alive
+        assert np.array_equal(index, np.arange(10))
         assert np.all(final == [1])
-        assert np.all(steps == 0)
+        assert out.stopped[0].size == 0 and out.exploded[0].size == 0
 
     def test_start_in_stopping_set_rejected(self, m1):
         model, stopping = m1
@@ -226,11 +260,11 @@ class TestRunStopped:
         # a trajectory that reports "stopped" must sit exactly on a
         # stopping state, and its step count is the first entry time
         model, stopping = m2
-        status, final, _ = _simulate_stopped_batch(
+        _, _, final = _simulate_stopped_batch(
             model, S((0, 2)), stopping, 30, 13, np.arange(2000)
-        )
-        assert np.any(status == 2)
-        for row in final[status == 2]:
+        ).stopped
+        assert len(final)
+        for row in final:
             assert S(tuple(int(x) for x in row)) in stopping
 
 
@@ -378,9 +412,9 @@ class TestExplosionGuard:
         model, _ = supercritical
         monkeypatch.setattr(mc, "EXPLOSION_LIMIT", 5000)
         stopping = StoppingSet(frozenset({S((3,))}))  # unreachable (even totals)
-        status, final, steps = _simulate_stopped_batch(
+        status, final, steps = outcome_arrays(_simulate_stopped_batch(
             model, S((4,)), stopping, 60, 8, np.arange(50)
-        )
+        ), 50, 60, 1)
         exploded = status == 3
         assert exploded.any()
         assert np.all(final[exploded].sum(axis=1) > 5000)

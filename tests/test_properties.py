@@ -93,31 +93,37 @@ def test_series_against_dense_and_renewal(case):
 @given(stopped_models(deltas=st.floats(0.2, 0.995) | st.just(0.995)))
 @example((*load_model(PERIODIC_TEXT), [(0, 2)]))
 def test_cli_exit_codes(case):
-    # classify and series return 0, 1 or 2 and never raise; series succeeds
-    # only on a model that classify accepts.  probe, cap-free, at a total of
-    # 10^6 returns 0 or 1 and succeeds only where classify does
+    # every command returns 0, 1 or 2 and never raises.  series, yaglom and
+    # estimate --what yaglom succeed only on a model that classify accepts;
+    # probe, cap-free, at a total of 10^6 returns 0 or 1 and succeeds only
+    # where classify does.  The dense commands run at cap 8, which keeps the
+    # kernel of k = 3 at 165 states, and Monte Carlo at 300 reps and t = 6
     model, stopping, starts = case
+    n = PopulationState(starts[0]).label()
+    r = stopping.sorted_members()[0].label()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         with open(path, "w") as fh:
             fh.write(dump_model(model, stopping))
         out = os.path.join(tmp, "out")
-        classify = main(["classify", "--model", path, "--out", out])
-        series = main([
-            "series", "--model", path, "--out", out,
-            "--n", PopulationState(starts[0]).label(),
-            "--r", stopping.sorted_members()[0].label(),
-        ])
-        probe = main([
-            "probe", "--model", path, "--out", out, "--n-grid", "1000000",
-            "--r", stopping.sorted_members()[0].label(),
-        ])
-        # cap 8 keeps the kernel of k = 3 at 165 states
+
+        def run(*argv):
+            return main([argv[0], "--model", path, "--out", out, *argv[1:]])
+
+        classify = run("classify")
+        series = run("series", "--n", n, "--r", r)
+        probe = run("probe", "--n-grid", "1000000", "--r", r)
+        stop_prob = run("stop-prob", "--n", n, "--r", r, "--t", "6", "--cap", "8")
+        yaglom = run("yaglom", "--j", "1", "--t", "6", "--cap", "8")
+        mc = ["--t", "6", "--reps", "300", "--seed", "1"]
+        absorption_est = run("estimate", "--what", "absorption", "--n", n, "--r", r, *mc)
+        yaglom_est = run("estimate", "--what", "yaglom", "--j", "1", *mc)
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
             verify = main(["verify", "--model", path, "--cap", "8"])
-    assert classify in (0, 1, 2) and series in (0, 1, 2)
-    assert series != 0 or classify == 0
+    assert {classify, series, stop_prob, yaglom, absorption_est, yaglom_est} <= {0, 1, 2}
+    for code in (series, yaglom, yaglom_est):
+        assert code != 0 or classify == 0
     assert probe in (0, 1) and (probe != 0 or classify == 0)
     # verify raises nothing, prints its twelve checks and skips exactly
     # those whose hypothesis classify finds missing
