@@ -199,12 +199,15 @@ class ProbeReport:
         return [r for r in self.rows if not r.is_partner]
 
     def write_csv(self, fh):
-        fh.write("n,nbar,x_frac,q,overflow_bound,self_similarity_defect\n")
+        """One line per row; ``series_bound`` is the row's certified error
+        bound, and ``overflow_bound`` stays for readers that take it by name
+        (it is 0: the probe caps nothing)."""
+        fh.write("n,nbar,x_frac,q,overflow_bound,self_similarity_defect,series_bound\n")
         for row in self.rows:
             defect = "" if row.defect is None else f"{row.defect:.17g}"
             fh.write(
                 f'"{row.state.label()}",{row.nbar},{row.x_frac:.17g},'
-                f"{row.q:.17g},{row.overflow:.17g},{defect}\n"
+                f"{row.q:.17g},{row.overflow:.17g},{defect},{row.series_bound:.17g}\n"
             )
 
 

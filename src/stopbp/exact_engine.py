@@ -237,54 +237,65 @@ class TransitionKernel:
 
 
 def _atom_shift_tables(model: BranchingModel, space: StateSpace):
-    """Per type: (probability, ordinal-shift array) per atom.
+    """Per type: the extinction probability p0 (0 if the law has no zero
+    atom) and (probability, ordinal-shift array) per atom of positive total.
 
     ``shift[s]`` is the ordinal reached from ordinal s when one extra
     offspring vector is added; totals beyond the cap land on the overflow
     sentinel, and overflow maps to itself.  In graded-lex order the states
     that stay inside the cap come first: those with total <= cap - |atom|.
+    The zero atom's shift would be the identity, so it gets none.
     """
     tables = []
     for law in model.laws:
-        per_atom = []
+        p0, moving = 0.0, []
         for state, p in law.atoms:
+            if state.is_zero:
+                p0 = p
+                continue
             room = space.cap - state.total
             inside = math.comb(room + space.k, space.k) if room >= 0 else 0
             shift = np.full(space.size, space.overflow, dtype=np.int64)
             shift[:inside] = space.ordinals(space.counts[:inside] + state.counts)
-            per_atom.append((p, shift))
-        tables.append(per_atom)
+            moving.append((p, shift))
+        tables.append((p0, moving))
     return tables
 
 
 def one_step_kernel(model: BranchingModel, space: StateSpace) -> TransitionKernel:
     """Single-generation kernel: each particle draws offspring independently.
 
-    The row for a state is built from the row of the state with one particle
-    of its first present type removed, convolved with that particle's
-    offspring law: one ``bincount`` of the shifted parent row per atom,
-    summed in atom order.  Partial sums that leave the cap are routed to the
-    overflow sentinel (exact, since counts only accumulate).  Parents and
-    types come from one rank of the whole state array.
+    The row for a state is built from the row of its parent, the state with
+    one particle removed, convolved with that particle's offspring law.  The
+    particle is of the present type whose law has the fewest atoms of
+    positive total (the first such type on a tie), picked for every state by
+    one ``argmin`` over the count array.  The extinction atom leaves every
+    state where it is, so its term is the parent row scaled by p0; each atom
+    of positive total adds one ``bincount`` of the shifted parent row, in
+    atom order.  Partial sums that leave the cap are routed to the overflow
+    sentinel (exact, since counts only accumulate).  Parents come from one
+    rank of the whole state array.
     """
     if model.k != space.k:
         raise ValueError(f"model has {model.k} types, space has {space.k}")
     size = space.size
     tables = _atom_shift_tables(model, space)
     counts = space.counts
-    first = np.argmax(counts > 0, axis=1)  # first present type; 0 for the zero state
+    moving = np.array([len(atoms) for _, atoms in tables])
+    # cheapest present type; 0 for the zero state, whose row is fixed below
+    cheapest = np.argmin(np.where(counts > 0, moving, moving.max() + 1), axis=1)
     parents = counts.copy()
-    parents[np.arange(len(counts)), first] -= 1
+    parents[np.arange(len(counts)), cheapest] -= 1
     parent = space.ordinals(parents).tolist()
     matrix = np.zeros((size, size))
     matrix[0, 0] = 1.0  # extinction is absorbing
     matrix[space.overflow, space.overflow] = 1.0
     weights = np.empty(size)
-    for ordinal, i in enumerate(first[1:].tolist(), 1):
+    for ordinal, i in enumerate(cheapest[1:].tolist(), 1):
         base, row = matrix[parent[ordinal]], matrix[ordinal]
-        (p, shift), *rest = tables[i]
-        row[:] = np.bincount(shift, weights=np.multiply(base, p, out=weights), minlength=size)
-        for p, shift in rest:
+        p0, atoms = tables[i]
+        np.multiply(base, p0, out=row)
+        for p, shift in atoms:
             row += np.bincount(shift, weights=np.multiply(base, p, out=weights), minlength=size)
     return TransitionKernel(space=space, matrix=matrix)
 

@@ -54,6 +54,23 @@ K3_TEXT = """
 }
 """
 
+# three types whose laws have 3, 2 and 1 atoms of positive total, so a
+# kernel row with an a and a c particle is built from its c particle, and
+# type b has no zero atom; Perron root 0.659, aperiodic
+K3_CHEAPEST_LAST_TEXT = """
+{
+  "version": 1,
+  "types": ["a", "b", "c"],
+  "offspring": [
+    [{"counts": [0, 0, 0], "p": 0.5}, {"counts": [0, 1, 0], "p": 0.2},
+     {"counts": [1, 0, 1], "p": 0.15}, {"counts": [0, 0, 2], "p": 0.15}],
+    [{"counts": [1, 0, 0], "p": 0.6}, {"counts": [0, 0, 1], "p": 0.4}],
+    [{"counts": [0, 0, 0], "p": 0.7}, {"counts": [0, 1, 0], "p": 0.3}]
+  ],
+  "stopping_set": [[1, 0, 0], [0, 1, 1]]
+}
+"""
+
 
 @pytest.fixture(scope="session")
 def m1_text():
@@ -86,4 +103,10 @@ def supercritical():
 @pytest.fixture(scope="session")
 def k3():
     model, stopping = load_model(K3_TEXT)
+    return model, stopping
+
+
+@pytest.fixture(scope="session")
+def k3_cheapest_last():
+    model, stopping = load_model(K3_CHEAPEST_LAST_TEXT)
     return model, stopping

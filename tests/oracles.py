@@ -141,9 +141,13 @@ def kernel_by_states(model, k, cap):
 
     The per-state builder: ordinals from a dictionary over
     ``graded_lex_states``, one shift table per atom by tuple addition, and
-    each row from the row of the state with one particle of its first
-    present type removed, one ``np.bincount`` per atom, in atom order.
-    Returns the (S + 1, S + 1) matrix, the overflow sentinel last.
+    each row from the row of the state with one particle removed, one
+    ``np.bincount`` per atom, in atom order.  The particle removed is of the
+    present type with the fewest atoms of positive total, the first such
+    type on a tie, found by a scan over the types.  The zero atom's
+    ``bincount`` through its identity table is the parent row times p0 to
+    the bit, so this matches the engine, which scales instead.  Returns the
+    (S + 1, S + 1) matrix, the overflow sentinel last.
     """
     states = graded_lex_states(k, cap)
     index = {c: i for i, c in enumerate(states)}
@@ -160,12 +164,14 @@ def kernel_by_states(model, k, cap):
                     shift[ordinal] = index[target]
             per_atom.append((p, shift))
         tables.append(per_atom)
+    moving = [sum(any(child) for child, _ in law_atoms(model, i)) for i in range(k)]
     matrix = np.zeros((size, size))
     matrix[0, 0] = 1.0
     matrix[overflow, overflow] = 1.0
     for ordinal in range(1, len(states)):
         counts = states[ordinal]
-        i = next(idx for idx, c in enumerate(counts) if c > 0)
+        present = [idx for idx, c in enumerate(counts) if c > 0]
+        i = min(present, key=lambda idx: (moving[idx], idx))
         parent = list(counts)
         parent[i] -= 1
         base = matrix[index[tuple(parent)]]

@@ -199,7 +199,7 @@ class TestPeriodicityProbe:
         with open(path, "w") as fh:
             m1_probe.write_csv(fh)
         lines = path.read_text().splitlines()
-        assert lines[0] == "n,nbar,x_frac,q,overflow_bound,self_similarity_defect"
+        assert lines[0] == "n,nbar,x_frac,q,overflow_bound,self_similarity_defect,series_bound"
         assert len(lines) == 1 + len(m1_probe.rows)
 
 

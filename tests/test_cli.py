@@ -531,8 +531,21 @@ class TestProbe:
         ])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "n,nbar,x_frac,q,overflow_bound,self_similarity_defect"
+        assert lines[0] == "n,nbar,x_frac,q,overflow_bound,self_similarity_defect,series_bound"
         assert len(lines) == 1 + 6  # three rows plus partners
+
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-13"])
+    def test_series_bound_column_below_tol(self, m1_path, capsys, tol):
+        # every row, main or partner, writes its certified bound, and the
+        # old column stays for readers that take it by name
+        assert main([
+            "probe", "--model", m1_path, "--r", "[2]", "--n-grid", "40:90:3", "--tol", tol,
+        ]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 6
+        for row in rows:
+            assert 0.0 < float(row["series_bound"]) < float(tol)
+            assert float(row["overflow_bound"]) == 0.0
 
     def test_supercritical_exit_1(self, super_path):
         assert main([

@@ -34,6 +34,7 @@ from oracles import (
     kernel_by_states,
     limiting_absorptions,
     mp_absorption,
+    offspring_by_product,
     renewal_absorption,
     stopped_distribution,
 )
@@ -160,11 +161,36 @@ class TestStateSpaceRank:
 
 class TestOneStepKernel:
     @pytest.mark.parametrize("name, cap", [("m1", 400), ("m2", 12), ("m2", 40), ("m2", 70),
-                                           ("k3", 15)])
+                                           ("k3", 15), ("k3_cheapest_last", 12)])
     def test_bit_identical_to_per_state_builder(self, request, name, cap):
         model, _ = request.getfixturevalue(name)
         kernel = one_step_kernel(model, enumerate_states(model.k, cap))
         assert np.array_equal(kernel.matrix, kernel_by_states(model, model.k, cap))
+
+    @pytest.mark.parametrize("name, cap, states", [
+        # m2: a b particle has one atom of positive total, an a particle two
+        ("m2", 6, [(1, 1), (2, 1), (1, 3), (3, 2), (2, 3)]),
+        # an a and a c particle: the row comes from c, the last type present
+        ("k3_cheapest_last", 5, [(1, 0, 1), (2, 0, 1), (1, 1, 1), (2, 1, 2), (1, 0, 3)]),
+        # no c particle: the row comes from b, whose law has no zero atom
+        ("k3_cheapest_last", 5, [(0, 1, 0), (1, 1, 0), (0, 3, 0), (2, 2, 0), (1, 2, 0)]),
+    ], ids=["m2-both-types", "first-type-not-cheapest", "no-zero-atom"])
+    def test_rows_match_product_enumeration(self, request, name, cap, states):
+        model, _ = request.getfixturevalue(name)
+        space = enumerate_states(model.k, cap)
+        kernel = one_step_kernel(model, space)
+        beyond_any = 0.0
+        for counts in states:
+            exact = offspring_by_product(model, counts)
+            want = np.zeros(space.size)
+            for child, p in exact.items():
+                want[space.ordinal(S(child)) if sum(child) <= cap else space.overflow] += p
+            beyond = sum(p for child, p in exact.items() if sum(child) > cap)
+            row = kernel.matrix[space.ordinal(S(counts))]
+            assert np.abs(row - want).max() <= 1e-14, counts
+            assert abs(row[space.overflow] - beyond) <= 1e-14, counts
+            beyond_any = max(beyond_any, beyond)
+        assert beyond_any > 0.01  # the overflow entry is tested where it holds mass
 
     def test_m1_unit_row_is_the_law(self, m1):
         model, _ = m1
@@ -211,6 +237,14 @@ class TestOneStepKernel:
         row = kernel.matrix[space.ordinal(S((2,)))]
         assert row[space.overflow] == pytest.approx(0.09, abs=1e-15)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_atom_beyond_the_cap(self):
+        # an atom of total 3 leaves a cap of 1 from every state, the zero
+        # state included: its whole mass goes to overflow
+        law = OffspringLaw(((S((0,)), 0.6), (S((1,)), 0.1), (S((3,)), 0.3)))
+        space = enumerate_states(1, 1)
+        kernel = one_step_kernel(BranchingModel(("a",), (law,)), space)
+        assert kernel.matrix[space.ordinal(S((1,)))].tolist() == [0.6, 0.1, 0.3]
 
     def test_row_stochastic(self, m1, m2):
         for model, _ in (m1, m2):

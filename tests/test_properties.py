@@ -3,8 +3,9 @@
 Models come from a ``hypothesis`` strategy over one to three types, at most
 four atoms per type, stopping sets of one to six states with r0 <= 4 and a
 Perron root from 0.2 to 0.95 (to 0.995 for the CLI exit codes, which keep
-decomposable and periodic draws).  The runs are derandomized and bounded,
-so the suite stays deterministic.
+decomposable and periodic draws, and for the cap doubling of the dense
+routes).  The runs are derandomized and bounded, so the suite stays
+deterministic.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from stopbp.exact_engine import enumerate_states
+from stopbp.exact_engine import absorption_table, enumerate_states, one_step_kernel
 from stopbp.cli import main
 from stopbp.model import (
     BranchingModel,
@@ -33,6 +34,7 @@ from stopbp.spectral import OutsideTheoremError, moments, perron_triple
 from test_exact_engine import assert_matches_dense, assert_solve_matches_renewal
 
 DENSE_CAP = {1: 60, 2: 30, 3: 14}  # dense kernels of 61, 496 and 680 states
+DOUBLING_CAP = {1: 12, 2: 8, 3: 6}  # doubled: 25, 325 and 455 states
 
 # each type begets only the other: mean matrix [[0, 0.5], [0.5, 0]], period 2
 PERIODIC_TEXT = """\
@@ -138,3 +140,25 @@ def test_cli_exit_codes(case):
     if summary.period != 1 or summary.criticality != "subcritical":
         want.add("survival constants positive")
     assert skipped == want
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(stopped_models(deltas=st.floats(0.2, 0.995)), st.integers(1, 12))
+def test_stop_prob_cap_doubling(case, t):
+    # the capped chain loses only the stopped paths that leave the cap; each
+    # is a free path, which the overflow sentinel holds from then on, so on
+    # every route q(cap) <= q(2 cap) <= q(cap) + overflow_bound(cap), the
+    # free chain's overflow mass at t, up to rounding
+    model, stopping, starts = case
+    starts = [PopulationState(n) for n in starts]
+    r = stopping.sorted_members()[-1]
+    cap = DOUBLING_CAP[model.k]
+    small, big = (
+        absorption_table(one_step_kernel(model, enumerate_states(model.k, c)),
+                         stopping, starts, r, [t]).rows
+        for c in (cap, 2 * cap)
+    )
+    for a, b in zip(small, big, strict=True):
+        assert (a.n, a.method) == (b.n, b.method)
+        assert a.q <= b.q <= a.q + a.overflow_bound + 1e-15, (a.n.label(), a.method)
