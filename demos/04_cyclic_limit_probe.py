@@ -42,7 +42,8 @@ def main():
           f"(rms residual {fit.rms_residual:.2e})")
     print("fitted limit function across one period:")
     for x in np.linspace(0.0, 0.9, 4):
-        print(f"  H({x:.2f}) = {cyclic.evaluate(float(x)):.8f}")
+        value, bound = cyclic.evaluate(float(x))
+        print(f"  H({x:.2f}) = {value:.8f} +- {bound:.1e}")
 
     out = HERE / "cyclic_probe.csv"
     with open(out, "w") as fh:

@@ -24,7 +24,6 @@ import numpy as np
 from stopbp import exact_engine, spectral
 from stopbp.model import BranchingModel, PopulationState, StoppingSet
 
-DEFAULT_WINDOW = (-60, 200)
 PRE_ASYMPTOTIC_FACTOR = 10
 RIDGE = 1e-12
 
@@ -35,30 +34,33 @@ class RankDeficiencyError(ValueError):
 
 @dataclass(eq=False)
 class HjValue:
-    """Truncated basis value with a total error bound.
-
-    ``tail_bound`` covers both truncation tails (upper tail geometric with
-    ratio delta^j; lower tail dominated by the double-exponential factor)
-    and the floating-point summation error of the window itself.
-    """
+    """Basis value with its error bound, ``tail_bound`` = ``truncation`` (the
+    two tails left out of the window) + ``rounding`` (float error)."""
 
     value: float
-    tail_bound: float
+    truncation: float
+    rounding: float
+
+    @property
+    def tail_bound(self) -> float:
+        return self.truncation + self.rounding
 
 
-def eval_Hj(
-    x: float,
-    j: int,
-    delta: float,
-    aK: float,
-    L_lo: int = DEFAULT_WINDOW[0],
-    L_hi: int = DEFAULT_WINDOW[1],
-) -> HjValue:
-    """Truncated basis sum over L in [L_lo, L_hi].
+def eval_Hj(x: float, j: int, delta: float, aK: float) -> HjValue:
+    """H_j(x) over a window derived from delta, aK, j and x, with its bound.
 
-    Terms are evaluated in log space (large negative exponents underflow to
-    zero rather than producing overflow artifacts) and accumulated with
-    exact summation.
+    With y = delta^(L + x) = e^(-s (L + x)), let M be the term nearest the
+    mode y = j / aK of y^j e^(-aK y).  The window makes each tail at most
+    eps M / 2, so ``truncation`` = eps M <= eps * value: above it the terms
+    fall at least by delta^j per step; below it, where z = aK y reaches the
+    largest of 2 j, (ln 2 + j s) / (e^s - 1) and 2 (ln(4 / (eps M)) +
+    j ln(2 j / aK) - j), they fall at least by half per step from a first
+    term below eps M / 4.  Terms are exp(z) with z = j w - aK e^w and
+    w = (L + x) ln delta, summed exactly.  ``rounding`` carries, per term,
+    the error 2 eps |w| of w through dz/dw = j - aK e^w, the rounding of
+    j w, aK e^w and z, and the last exp to first order (the constant 2
+    covers the second), then half an ulp of the sum and a smallest
+    subnormal per term.  notes/decisions.md has the derivation.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -66,33 +68,24 @@ def eval_Hj(
         raise ValueError(f"aK must be positive (series diverges), got {aK}")
     if j < 1:
         raise ValueError("j must be >= 1")
-    if not L_lo < 0 < L_hi:
-        raise ValueError("window must straddle zero: L_lo < 0 < L_hi")
+    eps = float(np.finfo(float).eps)
     log_delta = math.log(delta)
-    L = np.arange(L_lo, L_hi + 1, dtype=float)
-    y = np.exp((L + x) * log_delta)  # delta^(L+x); may overflow to inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_terms = j * (L + x) * log_delta - aK * y
-    log_terms = np.where(np.isnan(log_terms), -np.inf, log_terms)
-    terms = np.exp(log_terms)
+    s = -log_delta
+    w_mode = log_delta * (round(math.log(aK / j) / s - x) + x)
+    log_tail = math.log(eps / 2) + j * w_mode - aK * math.exp(w_mode)  # ln(eps M / 2)
+    z_edge = max(2.0 * j, (math.log(2.0) + j * s) / math.expm1(s),
+                 2.0 * (math.log(2.0) - log_tail + j * math.log(2.0 * j / aK) - j))
+    L_lo = math.floor(1.0 - x - math.log(z_edge / aK) / s)
+    L_hi = math.ceil(-(log_tail + math.log(-math.expm1(-j * s))) / (j * s) - x) - 1
+    w = (np.arange(L_lo, L_hi + 1, dtype=float) + x) * log_delta
+    a = aK * np.exp(w)
+    z = j * w - a
+    terms = np.exp(z)
     value = math.fsum(terms.tolist())
-
-    # upper tail: e^{-aK y} <= 1, geometric in delta^j
-    upper = delta ** (j * (L_hi + 1 + x)) / (1.0 - delta**j)
-    # lower tail: successive terms shrink at least by rho once y is past
-    # the mode of y^j e^{-aK y}
-    y_edge = math.exp((L_lo - 1 + x) * log_delta)
-    first = math.exp(j * (L_lo - 1 + x) * log_delta - aK * y_edge) if np.isfinite(
-        y_edge
-    ) else 0.0
-    rho = delta ** (-j) * math.exp(-aK * y_edge * (1.0 / delta - 1.0))
-    if first > 0.0 and rho >= 1.0:
-        raise ValueError(
-            "lower window edge sits before the decay regime; extend L_lo"
-        )
-    lower = first / (1.0 - rho) if first > 0.0 else 0.0
-    rounding = 2.0 * np.finfo(float).eps * math.fsum(np.abs(terms).tolist())
-    return HjValue(value=value, tail_bound=upper + lower + rounding)
+    per_term = 2.0 + 2.0 * np.abs(j - a) * np.abs(w) + (j * np.abs(w) + np.abs(z)) / 2 + 1.5 * a
+    rounding = (eps * math.fsum((terms * per_term).tolist()) + eps / 2 * value
+                + terms.size * float(np.finfo(float).smallest_subnormal))
+    return HjValue(value=value, truncation=2.0 * math.exp(log_tail), rounding=rounding)
 
 
 @dataclass(eq=False)
@@ -102,30 +95,28 @@ class CyclicModel:
     delta: float
     aK: float  # survival constants weighted by the limiting type composition
     r0: int  # largest stopping-state total; number of basis functions
-    L_lo: int
-    L_hi: int
     amplitudes: Optional[np.ndarray] = None
 
-    def basis(self, x: float) -> np.ndarray:
-        return np.array(
-            [
-                eval_Hj(x, j, self.delta, self.aK, self.L_lo, self.L_hi).value
-                for j in range(1, self.r0 + 1)
-            ]
-        )
+    def _terms(self, x: float) -> np.ndarray:
+        """(value, bound) of H_j(x) for j = 1..r0, one row each."""
+        return np.array([(h.value, h.tail_bound) for h in
+                         (eval_Hj(x, j, self.delta, self.aK) for j in range(1, self.r0 + 1))])
 
-    def evaluate(self, x: float) -> float:
+    def basis(self, x: float) -> np.ndarray:
+        return self._terms(x)[:, 0]
+
+    def evaluate(self, x: float) -> tuple[float, float]:
+        """H(x) and its bound, sum_j |c_j| times the bound on H_j(x)."""
         if self.amplitudes is None:
             raise ValueError("amplitudes not fitted yet")
-        return float(np.dot(self.amplitudes, self.basis(x)))
+        values, bounds = self._terms(x).T
+        return float(self.amplitudes @ values), float(np.abs(self.amplitudes) @ bounds)
 
 
 def build_cyclic_model(
     summary: spectral.SpectralSummary,
     a: Sequence[float],
     stopping: StoppingSet,
-    L_lo: int = DEFAULT_WINDOW[0],
-    L_hi: int = DEFAULT_WINDOW[1],
 ) -> CyclicModel:
     """Assemble the limit-function ingredients from spectral data.
 
@@ -146,8 +137,6 @@ def build_cyclic_model(
         delta=float(summary.delta),
         aK=aK,
         r0=stopping.max_total,
-        L_lo=L_lo,
-        L_hi=L_hi,
     )
 
 
@@ -175,11 +164,11 @@ class ProbeRow:
     x_frac: float
     q: float
     series_bound: float
-    overflow: float
     partner_nbar: Optional[int] = None
     defect: Optional[float] = None
     pre_asymptotic: bool = False
     is_partner: bool = False
+    overflow = 0.0  # not a field: the probe caps nothing; stopbench's tracer reads it
 
 
 @dataclass(eq=False)
@@ -207,7 +196,7 @@ class ProbeReport:
             defect = "" if row.defect is None else f"{row.defect:.17g}"
             fh.write(
                 f'"{row.state.label()}",{row.nbar},{row.x_frac:.17g},'
-                f"{row.q:.17g},{row.overflow:.17g},{defect},{row.series_bound:.17g}\n"
+                f"{row.q:.17g},0,{defect},{row.series_bound:.17g}\n"
             )
 
 
@@ -246,7 +235,7 @@ def periodicity_probe(
     too: they share one pass over the generating functions truncated at
     degree r0, which each start reads at its own horizon, so each row's
     ``series_bound`` stays below tol.  No state space is capped, so a start
-    of any total is accepted and each row's ``overflow`` is 0.
+    of any total is accepted.
     """
     summary = spectral.perron_triple(spectral.moments(model))
     delta = spectral.require_subcritical(summary, "probe")
@@ -270,7 +259,6 @@ def periodicity_probe(
             x_frac=_fractional_log(start.total, delta),
             q=result.value,
             series_bound=result.tail_bound,
-            overflow=result.overflow_mass,
             pre_asymptotic=start.total <= threshold,
             is_partner=i % 2 == 1,
         ))

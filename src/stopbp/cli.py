@@ -248,8 +248,9 @@ def cmd_series(cfg: RunConfig) -> int:
     spectral.require_subcritical(summary, "series")
     [result] = exact_engine.series_absorptions(model, stopping, summary, [n], r, tol=cfg.tol)
     table = exact_engine.AbsorptionTable()
-    table.add(n, r, None, "series", result.value, result.overflow_mass)
-    table.add(n, r, None, "series_tail_bound", result.tail_bound, result.overflow_mass)
+    # the overflow_bound column stays, at 0: series caps nothing
+    table.add(n, r, None, "series", result.value)
+    table.add(n, r, None, "series_tail_bound", result.tail_bound)
     _write(cfg, table.write_csv)
     return EXIT_OK
 

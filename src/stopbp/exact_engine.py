@@ -536,7 +536,6 @@ class LimitingAbsorption:
 
     value: float
     tail_bound: float
-    overflow_mass: float
     terms: int
 
 
@@ -591,8 +590,7 @@ def series_absorptions(
     with G the substochastic law of the first return to S, so phi_r <= 1
     and the bound stays below tol.  The value is clipped to [0, 1], where
     q lies, so rounding in the signed solve never reports a negative
-    probability and the clip never adds to the error.  No capped state
-    space is built, so ``overflow_mass`` is 0, and ``terms`` is T_n.
+    probability and the clip never adds to the error.  ``terms`` is T_n.
     """
     from stopbp import genfun  # genfun imports this module
 
@@ -622,9 +620,7 @@ def series_absorptions(
     column = np.linalg.solve(np.eye(m) + visits[:m], np.eye(m)[:, members.index(r)])
     phi = float(np.abs(column).max())
     return [
-        LimitingAbsorption(
-            value=float(value), tail_bound=bound * (1.0 + phi), overflow_mass=0.0, terms=t
-        )
+        LimitingAbsorption(value=float(value), tail_bound=bound * (1.0 + phi), terms=t)
         for (t, bound), value in zip(horizons, np.clip(visits[m:] @ column, 0.0, 1.0))
     ]
 

@@ -17,6 +17,8 @@ the same functions at their own inputs and tolerances.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import time
 
 import numpy as np
@@ -28,6 +30,7 @@ TOL = 1e-12  # composition, first passage, semigroup, survival, dominance, extin
 ROUTE_TOL = 1e-10  # three absorption routes
 PERRON_TOL = 1e-10  # eigen residuals
 INCREMENT_TOL = 1e-15  # absorption may not fall with the horizon, nor R below 0
+STATES = math.comb(32, 2)  # 496: the space of two types at total 30
 
 
 def kernel_rows_stochastic(kernel: exact_engine.TransitionKernel,
@@ -162,11 +165,13 @@ def battery(model: BranchingModel, stopping: StoppingSet, cap: int):
     """The (name, check) pairs ``stopbp verify`` runs on one model; each
     check takes no argument and returns (ok, detail).
 
-    The kernel lives on the space of total min(cap, 30) for several types
-    and min(cap, 200) for one, and is built here; the first-passage table
-    to 8 steps is built by the first check that reads it.
+    The kernel lives on the space of the largest total <= cap with at most
+    ``STATES`` states, C(total + k, k) <= 496, or of total r0 if that is
+    larger, since the checks need the stopping set inside; it is built here,
+    and the first-passage table to 8 steps by the first check that reads it.
     """
-    cap = min(cap, 30) if model.k > 1 else min(cap, 200)
+    largest = next(c for c in itertools.count() if math.comb(c + 1 + model.k, model.k) > STATES)
+    cap = min(cap, max(largest, stopping.max_total))
     space = exact_engine.enumerate_states(model.k, cap)
     kernel = exact_engine.one_step_kernel(model, space)
     summary = spectral.classify(spectral.moments(model))

@@ -15,6 +15,7 @@ propagation, as the stopped-chain pass at each start's horizon.
 """
 
 from collections import defaultdict
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -272,6 +273,17 @@ def renewal_absorption(hits, blocks, target):
     return float(sum(g[target] for g in first))
 
 
+@dataclass(eq=False)
+class DenseLimit:
+    """The dense reference value at one start: unlike the cap-free series,
+    it loses the stopped chain's mass beyond the cap, ``overflow_mass``."""
+
+    value: float
+    tail_bound: float
+    overflow_mass: float
+    terms: int
+
+
 def limiting_absorptions(kernel, stopping, summary, starts, r, tol=1e-10):
     """Infinite-horizon absorption probabilities from many starts, on the
     engine's dense kernel.
@@ -309,8 +321,6 @@ def limiting_absorptions(kernel, stopping, summary, starts, r, tol=1e-10):
         values[due] = hit[rows[due]]
         overflow[due] = ov[rows[due]]
     return [
-        exact_engine.LimitingAbsorption(
-            value=float(value), tail_bound=bound, overflow_mass=float(mass), terms=t
-        )
+        DenseLimit(value=float(value), tail_bound=bound, overflow_mass=float(mass), terms=t)
         for (t, bound), value, mass in zip(horizons, values, overflow)
     ]

@@ -329,14 +329,14 @@ def test_c13_cyclic_basis_machinery(m1, m1_summary):
         )
     defect_ok = worst_excess <= 0.0
 
-    synthetic = asymptotics.CyclicModel(delta=0.3, aK=1.0, r0=2, L_lo=-60, L_hi=200)
+    synthetic = asymptotics.CyclicModel(delta=0.3, aK=1.0, r0=2)
     xs = np.linspace(0.0, 0.975, 40)
     truth = np.array([0.2, 0.05])
     rows = [
         asymptotics.ProbeRow(
             state=S((1,)), nbar=0, x_frac=float(x),
             q=float(np.dot(truth, synthetic.basis(float(x)))),
-            series_bound=0.0, overflow=0.0,
+            series_bound=0.0,
         )
         for x in xs
     ]

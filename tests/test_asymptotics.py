@@ -34,6 +34,35 @@ def m1_probe(m1):
     return periodicity_probe(model, stopping, S((2,)), [1.0], [40, 55, 75, 100])
 
 
+def fourier_Hj(x, j, delta, aK, dps=40):
+    """H_j(x) to ``dps`` digits by Poisson summation: with s = -ln delta and
+    tau = 2 pi / s, H_j(x) = (1/s) sum_k Gamma(j + i tau k) aK^-(j + i tau k)
+    e^(2 pi i k x), whose terms fall monotonically in |k|."""
+    import mpmath
+
+    with mpmath.workdps(dps + 10):
+        s = -mpmath.log(mpmath.mpf(delta))
+        tau = 2 * mpmath.pi / s
+        log_aK = mpmath.log(mpmath.mpf(aK))
+        mean = mpmath.gamma(j) * mpmath.exp(-j * log_aK)
+        total, k = mean, 1
+        while True:
+            arg = j + 1j * tau * k
+            phase = 2j * mpmath.pi * k * mpmath.mpf(x)
+            term = mpmath.gamma(arg) * mpmath.exp(phase - arg * log_aK)
+            total += 2 * term.real
+            if abs(term) < mpmath.mpf(10) ** (-dps - 5) * mean:
+                return total / s
+            k += 1
+
+
+def assert_within_bound(got, x, j, delta, aK):
+    import mpmath
+
+    exact = fourier_Hj(x, j, delta, aK)
+    assert abs(mpmath.mpf(got.value) - exact) <= got.tail_bound, (x, j, delta, aK)
+
+
 class TestEvalHj:
     def test_against_mpmath(self):
         # independent high-precision oracle over a much wider window
@@ -44,18 +73,37 @@ class TestEvalHj:
             lambda L: mpmath.mpf(0.5) ** L * mpmath.e ** (-(mpmath.mpf(0.5) ** L)),
             [-200, 400],
         )
-        got = eval_Hj(0.0, 1, 0.5, 1.0, -60, 200)
+        got = eval_Hj(0.0, 1, 0.5, 1.0)
         assert got.value == pytest.approx(float(oracle), abs=1e-13)
+        # the Fourier oracle of the tests below gives the same sum
+        assert abs(fourier_Hj(0.0, 1, 0.5, 1.0) - oracle) <= mpmath.mpf(10) ** -40
 
-    def test_truncation_windows_agree(self):
-        a = eval_Hj(0.37, 1, 0.5, 1.0, -60, 200)
-        b = eval_Hj(0.37, 1, 0.5, 1.0, -80, 260)
-        assert abs(a.value - b.value) <= 1e-12
+    @pytest.mark.parametrize("delta", [0.05, 0.6, 0.921, 0.97, 0.99, 0.995])
+    def test_window_is_derived(self, delta):
+        # each value lies within its bound, whose truncation part is at most
+        # eps of the value and whose whole, rounding included, is 1e-13 of it
+        for j in range(1, 11):
+            for aK in (1e-2, 1e-1, 1.0, 10.0, 1e2):
+                got = eval_Hj(0.3, j, delta, aK)
+                assert_within_bound(got, 0.3, j, delta, aK)
+                assert got.truncation <= np.finfo(float).eps * got.value
+                assert got.tail_bound <= 1e-13 * got.value
+
+    def test_bound_covers_rounding(self):
+        # the rounding term carries the error of each exp argument, which
+        # 2 eps times the sum of the terms did not
+        rng = np.random.default_rng(300)
+        for _ in range(300):
+            delta = float(rng.uniform(0.02, 0.995))
+            j = int(rng.integers(1, 12))
+            aK = float(10 ** rng.uniform(-2.0, 2.0))
+            x = float(rng.uniform(0.0, 2.0))
+            assert_within_bound(eval_Hj(x, j, delta, aK), x, j, delta, aK)
 
     def test_period_defect_within_bound(self):
         rng = np.random.default_rng(2024)
-        for delta, aK in [(0.5, 1.0), (0.6, 0.33), (0.3, 2.0), (0.9, 0.1)]:
-            for j in (1, 2):
+        for delta, aK in [(0.5, 1.0), (0.6, 0.33), (0.3, 2.0), (0.9, 0.1), (0.99, 1.0)]:
+            for j in (1, 2, 3):
                 for x in rng.uniform(0.0, 1.0, size=25):
                     a = eval_Hj(float(x), j, delta, aK)
                     b = eval_Hj(float(x) + 1.0, j, delta, aK)
@@ -78,8 +126,6 @@ class TestEvalHj:
             eval_Hj(0.0, 1, 1.2, 1.0)
         with pytest.raises(ValueError, match="j"):
             eval_Hj(0.0, 0, 0.5, 1.0)
-        with pytest.raises(ValueError, match="window"):
-            eval_Hj(0.0, 1, 0.5, 1.0, 5, 50)
 
 
 class TestCyclicModel:
@@ -212,7 +258,6 @@ class TestAmplitudeFit:
                 x_frac=float(x),
                 q=float(np.dot(c, cyclic.basis(float(x)))),
                 series_bound=0.0,
-                overflow=0.0,
             )
             for x in xs
         ]
@@ -222,7 +267,7 @@ class TestAmplitudeFit:
         # delta = 0.3 gives a visibly oscillating basis (design condition
         # ~1.7e2); at delta near 1 the two basis functions are numerically
         # collinear and no float64 solver can separate them
-        cyclic = CyclicModel(delta=0.3, aK=1.0, r0=2, L_lo=-60, L_hi=200)
+        cyclic = CyclicModel(delta=0.3, aK=1.0, r0=2)
         xs = np.linspace(0.0, 0.975, 40)
         truth = np.array([0.2, 0.05])
         probe = self._synthetic(cyclic, xs, truth)
@@ -230,9 +275,12 @@ class TestAmplitudeFit:
         np.testing.assert_allclose(fit.amplitudes, truth, atol=1e-6)
         assert fit.rms_residual < 1e-9
         assert cyclic.amplitudes is fit.amplitudes
-        assert cyclic.evaluate(0.5) == pytest.approx(
-            float(np.dot(truth, cyclic.basis(0.5))), abs=1e-6
-        )
+        value, bound = cyclic.evaluate(0.5)
+        assert value == pytest.approx(float(np.dot(truth, cyclic.basis(0.5))), abs=1e-6)
+        # the bound carries each basis bound out, weighted by |c_j|
+        bounds = [eval_Hj(0.5, j, 0.3, 1.0).tail_bound for j in (1, 2)]
+        assert bound == pytest.approx(float(np.dot(np.abs(fit.amplitudes), bounds)))
+        assert 0.0 < bound <= 1e-13 * value
 
     def test_zero_signal(self, m1_summary_with_k, m1):
         _, stopping = m1
@@ -250,7 +298,8 @@ class TestAmplitudeFit:
         assert np.isfinite(fit.rms_residual)
         # fitted curve reproduces the probe level
         level = np.mean([row.q for row in m1_probe.rows])
-        assert cyclic.evaluate(0.5) == pytest.approx(level, rel=0.05)
+        value, _ = cyclic.evaluate(0.5)
+        assert value == pytest.approx(level, rel=0.05)
 
     def test_rank_deficiency(self, m1_summary_with_k, m1):
         _, stopping = m1

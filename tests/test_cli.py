@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,13 @@ import warnings
 
 import pytest
 
-from stopbp import cli, exact_engine, genfun, spectral
+from stopbp import cli, exact_engine, genfun, invariants, spectral
 from stopbp.builtin_models import M1_TEXT, M2_TEXT
 from stopbp.cli import main
-from stopbp.model import load_model
+from stopbp.model import (
+    BranchingModel, OffspringLaw, PopulationState, StoppingSet, dump_model, load_model,
+    unit_state,
+)
 
 SUPER_TEXT = """\
 {
@@ -128,6 +132,23 @@ TINY_MEAN_TEXT = """\
   "types": ["a"],
   "offspring": [[{"counts": [0], "p": 0.9999999}, {"counts": [2], "p": 1e-7}]],
   "stopping_set": [[2]]
+}
+"""
+
+# four types, each with a zero atom; subcritical, delta = 0.589
+FOUR_TYPE_TEXT = """\
+{
+  "version": 1,
+  "types": ["a", "b", "c", "d"],
+  "offspring": [
+    [{"counts": [0, 0, 0, 0], "p": 0.5}, {"counts": [0, 1, 0, 0], "p": 0.3},
+     {"counts": [1, 0, 0, 1], "p": 0.2}],
+    [{"counts": [0, 0, 0, 0], "p": 0.4}, {"counts": [0, 0, 1, 0], "p": 0.6}],
+    [{"counts": [0, 0, 0, 0], "p": 0.6}, {"counts": [0, 0, 0, 1], "p": 0.4}],
+    [{"counts": [0, 0, 0, 0], "p": 0.5}, {"counts": [1, 0, 0, 0], "p": 0.3},
+     {"counts": [0, 1, 1, 0], "p": 0.2}]
+  ],
+  "stopping_set": [[1, 0, 0, 0], [0, 1, 0, 1]]
 }
 """
 
@@ -675,6 +696,57 @@ class TestVerify:
         assert failed.startswith("[FAIL]") and "survival constants positive" in failed
         assert "at step 46 is below the smallest normal float" in failed
         assert "extinction matches generating map" in lines[-1]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_battery_space(self, k, monkeypatch):
+        # one rule for every k: the largest cap with at most 496 states;
+        # at the default cap that is 200 for one type and 30 for two, as
+        # before, 12 for three and 8 for four
+        built = []
+        enumerate_states = exact_engine.enumerate_states
+
+        def spy(*args, **kwargs):
+            built.append(enumerate_states(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(exact_engine, "enumerate_states", spy)
+        # type i begets nothing, itself, or itself and type i + 1 (mod k)
+        units = [unit_state(i, k).counts for i in range(1, k + 1)]
+        laws = tuple(OffspringLaw((
+            (PopulationState((0,) * k), 0.5),
+            (PopulationState(unit), 0.2),
+            (PopulationState(tuple(a + b for a, b in zip(unit, units[i % k]))), 0.3),
+        )) for i, unit in enumerate(units, 1))
+        model = BranchingModel(tuple(f"t{i}" for i in range(k)), laws)
+        stopping = StoppingSet(frozenset([unit_state(1, k)]))
+        for cap, before in ((cli.RunConfig.cap, {1: 200, 2: 30}), (20, {1: 20, 2: 20})):
+            invariants.battery(model, stopping, cap)
+            space = built.pop()
+            assert space.n_states <= invariants.STATES
+            assert space.cap == cap or math.comb(space.cap + 1 + k, k) > invariants.STATES
+            assert space.cap == before.get(k, space.cap)
+
+    def test_stopping_set_beyond_the_state_rule(self, k3_cheapest_last, tmp_path, capsys):
+        # a stopping state of total 14 in three types lies past the rule's
+        # cap 12: the space grows to total 14 (680 states), as the checks
+        # need, and the twelve checks pass
+        model, _ = k3_cheapest_last
+        stopping = StoppingSet(frozenset([PopulationState((1, 0, 0)), PopulationState((7, 7, 0))]))
+        path = tmp_path / "k3.json"
+        path.write_text(dump_model(model, stopping))
+        assert main(["verify", "--model", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12
+        assert all(line.startswith("[PASS]") for line in lines)
+
+    def test_four_types_at_the_default_cap(self, tmp_path, capsys):
+        # the dense space of four types at cap 30 exceeded the memory budget
+        path = tmp_path / "k4.json"
+        path.write_text(FOUR_TYPE_TEXT)
+        assert main(["verify", "--model", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12
+        assert all(line.startswith("[PASS]") for line in lines)
 
 
 class TestConfigPrecedence:

@@ -3,9 +3,9 @@
 Models come from a ``hypothesis`` strategy over one to three types, at most
 four atoms per type, stopping sets of one to six states with r0 <= 4 and a
 Perron root from 0.2 to 0.95 (to 0.995 for the CLI exit codes, which keep
-decomposable and periodic draws, and for the cap doubling of the dense
-routes).  The runs are derandomized and bounded, so the suite stays
-deterministic.
+decomposable and periodic draws, and for the cap doublings of the dense
+routes and of the conditional law).  The runs are derandomized and bounded,
+so the suite stays deterministic.
 """
 
 import contextlib
@@ -18,7 +18,10 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from stopbp.exact_engine import absorption_table, enumerate_states, one_step_kernel
+from stopbp.exact_engine import (
+    CapacityError, absorption_table, enumerate_states, one_step_kernel,
+)
+from stopbp.genfun import yaglom
 from stopbp.cli import main
 from stopbp.model import (
     BranchingModel,
@@ -162,3 +165,29 @@ def test_stop_prob_cap_doubling(case, t):
     for a, b in zip(small, big, strict=True):
         assert (a.n, a.method) == (b.n, b.method)
         assert a.q <= b.q <= a.q + a.overflow_bound + 1e-15, (a.n.label(), a.method)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(stopped_models(deltas=st.floats(0.2, 0.995)), st.integers(1, 3), st.integers(1, 40))
+def test_yaglom_cap_doubling(case, j, t):
+    # the overflow sentinel counts as alive.  A path that stays within the
+    # cap is the same at 2 cap, so the mass at each state beta within the
+    # cap can only grow, while the alive mass can only shrink, by at most
+    # the sentinel's share d of it: p_cap <= p_2cap <= (p_cap + d) / (1 - d),
+    # which is at most p_cap + 2 d / (1 - d).  Up to rounding: the two
+    # spaces sum each step in different orders, which in 300 draws moved a
+    # probability by at most 1.8 eps of it, so both sides allow 1e-14 of it
+    model, _, _ = case
+    j = min(j, model.k)
+    cap = DOUBLING_CAP[model.k]
+    try:
+        small, big = (yaglom(model, enumerate_states(model.k, c), j, t) for c in (cap, 2 * cap))
+    except CapacityError:  # a deficit of 1 % or more at the cap
+        assume(False)
+    n = small.space.n_states
+    assert np.array_equal(big.space.counts[:n], small.space.counts)
+    d = small.deficit
+    slack = 1e-14 * small.p
+    assert np.all(small.p <= big.p[:n] + slack)
+    assert np.all(big.p[:n] <= small.p + 2 * d / (1 - d) + slack)
