@@ -671,7 +671,8 @@ def absorption_table(
       the direct route reads column r;
     * the masked chain from each start n: the stopping columns are zeroed
       before every product but the first, so row l holds the first passages
-      at step l; the restricted route sums column r;
+      at step l; the restricted route sums column r (equal to the direct
+      route bit for bit: outside S both do the same arithmetic);
     * the masked chain from each stopping state alpha: its stopping columns
       are the first-passage table of the stop coefficients;
     * the free chain from each start n: its stopping columns are the hits of

@@ -71,10 +71,13 @@ def first_passage_dominated(kernel: exact_engine.TransitionKernel,
 def three_routes(kernel: exact_engine.TransitionKernel, stopping: StoppingSet, starts, r,
                  t_list, tol: float = ROUTE_TOL):
     """The stopped chain, the stop-coefficient formula and the first-passage
-    partial sums give the same q(n -> r, t) for every start and horizon."""
+    partial sums of ``absorption_table`` give the same q(n -> r, t) as the
+    backward stopped column, for every start and horizon."""
     table = exact_engine.absorption_table(kernel, stopping, starts, r, t_list)
-    # one row per route (direct, formula, restricted) for each start and t
-    q = np.array([row.q for row in table.rows]).reshape(-1, 3)
+    col = exact_engine.stopped_hitting_column(kernel, stopping, r, max(t_list))
+    backward = col[np.ix_(t_list, [kernel.space.ordinal(n) for n in starts])].T.reshape(-1, 1)
+    # one row per start and t: direct, formula, restricted, backward
+    q = np.hstack([np.array([row.q for row in table.rows]).reshape(-1, 3), backward])
     worst = float(np.abs(q[:, 1:] - q[:, :1]).max(initial=0.0))
     return worst <= tol, f"worst route gap {worst:.3g}"
 
@@ -166,17 +169,19 @@ def battery(model: BranchingModel, stopping: StoppingSet, cap: int):
     check takes no argument and returns (ok, detail).
 
     The kernel lives on the space of the largest total <= cap with at most
-    ``STATES`` states, C(total + k, k) <= 496, or of total r0 if that is
-    larger, since the checks need the stopping set inside; it is built here,
-    and the first-passage table to 8 steps by the first check that reads it.
+    ``STATES`` states, C(total + k, k) <= 496, or of total r0 <= cap if that
+    is larger, since the checks need the stopping set inside (``check_starts``
+    refuses r0 > cap before anything is built); it is built here, and the
+    first-passage table to 8 steps by the first check that reads it.
     """
     largest = next(c for c in itertools.count() if math.comb(c + 1 + model.k, model.k) > STATES)
     cap = min(cap, max(largest, stopping.max_total))
+    r = stopping.sorted_members()[0]
+    exact_engine.check_starts(stopping, (), r, cap)
     space = exact_engine.enumerate_states(model.k, cap)
     kernel = exact_engine.one_step_kernel(model, space)
     summary = spectral.classify(spectral.moments(model))
     restricted = functools.cache(lambda: exact_engine.restricted_kernel(kernel, stopping, 8))
-    r = stopping.sorted_members()[0]
     starts = [space.state(i) for i in range(1, min(space.n_states, 25))]
     starts = [n for n in starts if n not in stopping]
 

@@ -8,8 +8,8 @@ and estimates are bit-exact reproducible from (seed, reps) alone.
 
 One batched engine, ``_simulate_stopped_batch``, runs every trajectory; the
 conditional-law estimator runs it with an empty stopping set (the free
-process).  It carries only the running trajectories, their states, keys,
-draw counters and indices, and returns records (``Outcomes``): when a
+process).  It carries only the running trajectories, their states, stream
+words and indices, and returns records (``Outcomes``): when a
 trajectory enters S or explodes, its (index, step, state); when it is still
 alive at the horizon, its (index, state); when it dies, nothing.
 ``estimate_absorption`` counts the stopped records at r, and
@@ -20,14 +20,13 @@ more than the usable CPUs), so the memory of a request does not grow with
 ``reps``.
 
 The engine is type-major: live states form a (k, m) array, one contiguous
-row per type, so totals and stopping tests are k row operations.  In a step,
-type i's particles lie trajectory by trajectory; with e the cumulative sum of
-the counts c, trajectory p owns positions [e_p - c_p, e_p) and its particle at
-position q draws word key_p + gamma * (counter_p + q - (e_p - c_p)).  Modulo
-2**64 that is (key_p + gamma * (counter_p - e_p + c_p)) + gamma * q: one
-repeat of a per-trajectory word plus gamma * q gives every particle the word
-it always had.  Offspring counts are differences of cumulative sums at e_p
-and e_p - c_p.
+row per type, so totals and stopping tests are k row operations.  Running
+trajectory p carries one word, w_p = key_p + gamma * (its draws so far) mod
+2**64.  In a step, type i's particles lie trajectory by trajectory: p's c_p
+particles follow the s_p of the trajectories before it, and its particle at
+position q draws (w_p - gamma * s_p) + gamma * q, one repeat of a word per
+trajectory plus gamma * q; then w_p += gamma * c_p.  Offspring counts are
+differences of cumulative sums at s_p + c_p and s_p.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from stopbp.model import (
 
 EXPLOSION_LIMIT = 10**7
 # starting particles per chunk of trajectories; bounds a request's arrays
-PARTICLE_BUDGET = 2**18
+PARTICLE_BUDGET = 2**17
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -134,14 +133,10 @@ def _samplers(model: BranchingModel) -> tuple[AliasSampler, ...]:
 # batched engine
 
 
-def _batch_step(
-    states: np.ndarray,
-    keys: np.ndarray,
-    counters: np.ndarray,
-    samplers: tuple[AliasSampler, ...],
-) -> np.ndarray:
-    """Advance the type-major (k, m) ``states`` one generation, consuming
-    counter draws; see the module docstring for the particle layout."""
+def _batch_step(states: np.ndarray, words: np.ndarray,
+                samplers: tuple[AliasSampler, ...]) -> np.ndarray:
+    """Advance the type-major (k, m) ``states`` one generation, and each
+    stream word in ``words`` in place; see the module docstring."""
     out = np.zeros_like(states)
     for i, sampler in enumerate(samplers):
         c = states[i]
@@ -150,11 +145,11 @@ def _batch_step(
         if tot == 0:
             continue
         starts = ends - c
-        words = np.arange(tot, dtype=np.uint64)
-        words *= _GAMMA
-        words += np.repeat(keys + _GAMMA * (counters - starts.astype(np.uint64)), c)
-        u = _uniforms(words)
-        del words
+        draws = np.arange(tot, dtype=np.uint64)
+        draws *= _GAMMA
+        draws += np.repeat(words - _GAMMA * starts.astype(np.uint64), c)
+        u = _uniforms(draws)
+        del draws
         picks = sampler.pick(u)
         del u
         for j, column in enumerate(sampler.atoms.T):
@@ -163,7 +158,7 @@ def _batch_step(
                 np.cumsum(column.take(picks), out=cs[1:])
                 out[j] += cs.take(ends)
                 out[j] -= cs.take(starts)
-        counters += c.astype(np.uint64)
+        words += _GAMMA * c.astype(np.uint64)
     return out
 
 
@@ -217,20 +212,19 @@ def _simulate_stopped_batch(
     record), equals a member of ``stopping`` (a ``stopped`` record) or has a
     total above ``EXPLOSION_LIMIT`` (an ``exploded`` record), tested in that
     order; one still running at ``t_max`` leaves an ``alive`` record.  The
-    loop carries only the running trajectories' states, keys, counters and
+    loop carries only the running trajectories' states, stream words and
     indices.  An empty ``stopping`` runs the free process.
     """
     samplers = _samplers(model)
     stopping = tuple(stopping)
     index = np.asarray(indices, dtype=np.int64)
-    keys = trajectory_keys(seed, index)
-    counters = np.zeros(len(index), dtype=np.uint64)
+    words = trajectory_keys(seed, index)
     states = np.repeat(np.asarray(start.counts, dtype=np.int64)[:, None], len(index), axis=1)
     stopped, exploded = [], []
     for t in range(1, t_max + 1):
         if index.size == 0:
             break
-        states = _batch_step(states, keys, counters, samplers)
+        states = _batch_step(states, words, samplers)
         totals = states.sum(axis=0)
         done = totals == 0
         if stopping:
@@ -247,7 +241,7 @@ def _simulate_stopped_batch(
             continue
         # take picks columns several times faster than fancy indexing
         keep = np.flatnonzero(~done)
-        index, keys, counters = index.take(keep), keys.take(keep), counters.take(keep)
+        index, words = index.take(keep), words.take(keep)
         states = states.take(keep, axis=1)
     return Outcomes(_joined(stopped, model.k), _joined(exploded, model.k), (index, states.T))
 

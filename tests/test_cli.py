@@ -748,6 +748,16 @@ class TestVerify:
         assert len(lines) == 12
         assert all(line.startswith("[PASS]") for line in lines)
 
+    def test_stopping_set_outside_the_cap(self, tmp_path, capsys, caplog):
+        # refused before any check runs, with stop-prob's message: no [PASS]
+        # line, then an error, as when the checks stopped part-way
+        path = tmp_path / "k4.json"
+        path.write_text(FOUR_TYPE_TEXT.replace(
+            '[[1, 0, 0, 0], [0, 1, 0, 1]]', '[[5, 5, 0, 0]]'))
+        assert main(["verify", "--model", str(path), "--cap", "9"]) == 2
+        assert capsys.readouterr().out == ""
+        assert "stopping set reaches total 10 above the cap 9" in caplog.text
+
 
 class TestConfigPrecedence:
     def test_flags_beat_config(self, m1_path, tmp_path):

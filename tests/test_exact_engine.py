@@ -456,6 +456,29 @@ class TestAbsorptionRoutes:
             assert abs(direct - routes["formula"][t, s]) <= 1e-10
             assert abs(direct - routes["restricted"][t, s]) <= 1e-12
 
+    def test_three_routes_check_the_table_from_outside(self, m2, monkeypatch):
+        # a table whose routes all err by the same factor agrees with itself;
+        # only the backward stopped column shows the fault
+        model, stopping = m2
+        kernel = one_step_kernel(model, enumerate_states(2, 16))
+        starts = [S((0, 2)), S((1, 1)), S((2, 3))]
+        ok, detail = invariants.three_routes(kernel, stopping, starts, S((1, 0)), [1, 4, 8])
+        assert ok, detail
+        build = exact_engine.absorption_table
+
+        def scaled(*args):
+            table = build(*args)
+            for row in table.rows:
+                row.q *= 1 + 1e-6
+            return table
+
+        monkeypatch.setattr(exact_engine, "absorption_table", scaled)
+        ok, detail = invariants.three_routes(kernel, stopping, starts, S((1, 0)), [1, 4, 8])
+        q = np.array([row.q for row in scaled(kernel, stopping, starts, S((1, 0)), [1, 4, 8]).rows])
+        q = q.reshape(-1, 3)
+        assert np.abs(q[:, 1:] - q[:, :1]).max() <= invariants.ROUTE_TOL  # the routes agree
+        assert not ok, detail
+
     def test_monotone_in_horizon(self, m2):
         model, stopping = m2
         kernel = one_step_kernel(model, enumerate_states(2, 12))

@@ -28,15 +28,21 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+# gamma is odd, so it has an inverse modulo 2**64
+_GAMMA_INVERSE = np.uint64(pow(int(_GAMMA), -1, 2**64))
+
+
 def batch_step(model, counts, rows, seed):
     """One generation from ``rows`` copies of ``counts`` (a state or a list of
-    states); (next states, draws used), one row per trajectory."""
+    states); (next states, draws used), one row per trajectory.  The engine
+    starts each trajectory's word at its key and advances it by gamma per
+    draw, so the draws used are (word - key) / gamma modulo 2**64."""
     states = np.tile(np.asarray(counts, dtype=np.int64), (rows, 1))
     keys = trajectory_keys(seed, np.arange(len(states)))
-    counters = np.zeros(len(states), dtype=np.uint64)
+    words = keys.copy()
     # the engine is type-major: (k, m) in, (k, m) out
-    out = _batch_step(np.ascontiguousarray(states.T), keys, counters, _samplers(model))
-    return out.T, counters
+    out = _batch_step(np.ascontiguousarray(states.T), words, _samplers(model))
+    return out.T, (words - keys) * _GAMMA_INVERSE
 
 
 def particle_reference(model, rows, seed):
@@ -54,6 +60,16 @@ def particle_reference(model, rows, seed):
                 out[i] += sampler.atoms[sampler.pick(u)[0]]
                 draws[i] += 1
     return out, draws
+
+
+def traced_peak(fn):
+    """The peak of the memory that ``fn()`` allocates, traced, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def records(outcomes):
@@ -350,15 +366,19 @@ class TestEstimateAbsorption:
         model, stopping = m2
 
         def peak(reps):
-            tracemalloc.start()
-            try:
-                estimate_absorption(S((1, 1)), S((1, 0)), stopping, model, 18, reps, 21)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: estimate_absorption(
+                S((1, 1)), S((1, 0)), stopping, model, 18, reps, 21))
 
         small = peak(250_000)
         assert peak(2_000_000) <= 1.25 * small
+
+    def test_traced_peak_pinned(self, m2):
+        # chunks of 2**17 starting particles, each trajectory carrying one
+        # stream word: 6.3 MiB here; 13.5 MiB at 2**18 with a key and a counter
+        model, stopping = m2
+        assert PARTICLE_BUDGET == 2**17
+        assert traced_peak(lambda: estimate_absorption(
+            S((1, 1)), S((1, 0)), stopping, model, 18, 500_000, 21)) <= 8 * 2**20
 
     def test_invalid_inputs(self, m1):
         model, stopping = m1
@@ -398,6 +418,11 @@ class TestEstimateYaglom:
         a = estimate_yaglom(1, model, 5, 30_000, 3, workers=1)
         b = estimate_yaglom(1, model, 5, 30_000, 3, workers=4)
         assert a.counts == b.counts
+
+    def test_traced_peak_pinned(self, m2):
+        # 11.5 MiB here; 23.1 MiB at 2**18 with a key and a counter
+        model, _ = m2
+        assert traced_peak(lambda: estimate_yaglom(1, model, 9, 250_000, 21)) <= 14 * 2**20
 
     def test_bad_type(self, m1):
         model, _ = m1
