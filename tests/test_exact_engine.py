@@ -472,11 +472,11 @@ class TestAbsorptionRoutes:
                 row.q *= 1 + 1e-6
             return table
 
+        table = scaled(kernel, stopping, starts, S((1, 0)), [1, 4, 8])
+        q = np.array([row.q for row in table.rows]).reshape(-1, 3)
+        assert np.abs(q[:, 1:] - q[:, :1]).max() <= invariants.ROUTE_TOL  # the routes agree
         monkeypatch.setattr(exact_engine, "absorption_table", scaled)
         ok, detail = invariants.three_routes(kernel, stopping, starts, S((1, 0)), [1, 4, 8])
-        q = np.array([row.q for row in scaled(kernel, stopping, starts, S((1, 0)), [1, 4, 8]).rows])
-        q = q.reshape(-1, 3)
-        assert np.abs(q[:, 1:] - q[:, :1]).max() <= invariants.ROUTE_TOL  # the routes agree
         assert not ok, detail
 
     def test_monotone_in_horizon(self, m2):

@@ -374,7 +374,7 @@ class TestEstimateAbsorption:
 
     def test_traced_peak_pinned(self, m2):
         # chunks of 2**17 starting particles, each trajectory carrying one
-        # stream word: 6.3 MiB here; 13.5 MiB at 2**18 with a key and a counter
+        # stream word, trace 6.3 MiB; 2**18 with a key and a counter, 13.5 MiB
         model, stopping = m2
         assert PARTICLE_BUDGET == 2**17
         assert traced_peak(lambda: estimate_absorption(
@@ -420,7 +420,7 @@ class TestEstimateYaglom:
         assert a.counts == b.counts
 
     def test_traced_peak_pinned(self, m2):
-        # 11.5 MiB here; 23.1 MiB at 2**18 with a key and a counter
+        # 11.4 MiB traced; 23.1 MiB at 2**18 with a key and a counter
         model, _ = m2
         assert traced_peak(lambda: estimate_yaglom(1, model, 9, 250_000, 21)) <= 14 * 2**20
 
