@@ -71,9 +71,12 @@ class RunConfig:
     what: str = "absorption"
 
     def validate(self):
-        for name in ("cap", "t", "reps", "workers"):
-            if getattr(self, name) < 0 or (name in ("reps", "workers") and getattr(self, name) == 0):
-                raise UsageError(f"--{name.replace('_', '-')} must be positive")
+        for name in ("cap", "t"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"--{name} must be nonnegative")
+        for name in ("reps", "workers"):
+            if getattr(self, name) <= 0:
+                raise UsageError(f"--{name} must be positive")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise UsageError(f"--tol must be finite and positive, got {self.tol}")
 
@@ -138,9 +141,10 @@ def _out_stream(cfg: RunConfig):
 
 
 def _write(cfg: RunConfig, writer):
+    """Run ``writer`` on the output stream and return what it returns."""
     fh, close = _out_stream(cfg)
     try:
-        writer(fh)
+        return writer(fh)
     finally:
         if close:
             fh.close()
@@ -344,14 +348,18 @@ def cmd_verify(cfg: RunConfig) -> int:
         pairs = [(cfg.model, *_load(cfg))]
     else:
         pairs = [(name, *builtin(name)) for name in ("m1", "m2")]
-    failures = 0
-    for label, model, stopping in pairs:
-        stopping = _need_stopping(stopping)
-        for name, ok, detail, elapsed in invariants.run(model, stopping, cfg.cap):
-            status = "SKIP" if ok is None else "PASS" if ok else "FAIL"
-            print(f"[{status}] {label}: {name} ({detail}) [{elapsed:.3f}s]")
-            failures += ok is False
-    return EXIT_OK if failures == 0 else EXIT_MATH
+
+    def write(fh):
+        failures = 0
+        for label, model, stopping in pairs:
+            stopping = _need_stopping(stopping)
+            for name, ok, detail, elapsed in invariants.run(model, stopping, cfg.cap):
+                status = "SKIP" if ok is None else "PASS" if ok else "FAIL"
+                fh.write(f"[{status}] {label}: {name} ({detail}) [{elapsed:.3f}s]\n")
+                failures += ok is False
+        return failures
+
+    return EXIT_OK if _write(cfg, write) == 0 else EXIT_MATH
 
 
 _COMMANDS = {

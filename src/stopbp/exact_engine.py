@@ -18,11 +18,12 @@ tables and each kernel row's parent are array operations.
 
 ``absorption_table``, behind ``stopbp stop-prob`` and the verify battery,
 computes all three routes from one forward block of rows, multiplied by the
-kernel once per step: the stopped chain and the masked (first-passage) chain
-from each start, the masked chain from each stopping state, and the free
-chain from each start.  The backward tables, built on
-``TransitionKernel.backward`` (columns K^l C, stopping rows masked for first
-passage or pinned), give each route on its own: ``stopped_hitting_column``
+kernel once per step: the masked (first-passage) chain from each start, whose
+partial sums at r are both the stopped chain's and the restricted route's
+value, the masked chain from each stopping state, and the free chain from
+each start.  ``TransitionKernel.backward`` returns the table of columns
+K^l C, l = 0..steps, with stopping rows masked for first passage or pinned;
+one call of it gives each route on its own: ``stopped_hitting_column``
 (stopped chain), ``restricted_kernel`` with ``stop_coefficients`` (first
 passage) and ``hitting_columns`` (free chain).  The verify battery and the
 tests check the table against them.
@@ -75,7 +76,7 @@ def _memory_budget() -> int:
 MEMORY_BUDGET = _memory_budget()
 # largest state count S whose dense float64 kernel, (S+1)^2 * 8 bytes with
 # the overflow sentinel, fits the budget
-DEFAULT_STATE_LIMIT = math.isqrt(MEMORY_BUDGET // 8) - 1
+STATE_LIMIT = math.isqrt(MEMORY_BUDGET // 8) - 1
 
 
 class CapacityError(RuntimeError):
@@ -150,8 +151,9 @@ class StateSpace:
         return len(state.counts) == self.k and state.total <= self.cap
 
 
-def enumerate_states(k: int, cap: int, limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
-    """Enumerate every state with total <= cap in graded-lex order.
+def enumerate_states(k: int, cap: int) -> StateSpace:
+    """Enumerate every state with total <= cap in graded-lex order; more than
+    ``STATE_LIMIT`` states raise ``CapacityError``.
 
     Graded-lex order is the lexicographic order of (total, c_1, ..., c_(k-1)),
     with c_k the remainder, so the array is built a column at a time: each
@@ -163,9 +165,9 @@ def enumerate_states(k: int, cap: int, limit: int = DEFAULT_STATE_LIMIT) -> Stat
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     count = math.comb(cap + k, k)
-    if count > limit:
+    if count > STATE_LIMIT:
         raise CapacityError(
-            f"{count} states for k={k}, cap={cap} exceeds the limit {limit}: "
+            f"{count} states for k={k}, cap={cap} exceeds the limit {STATE_LIMIT}: "
             f"the dense kernel would take {(count + 1) ** 2 * 8} bytes"
         )
     rest = np.arange(cap + 1, dtype=np.int64)  # per row: total left to place
@@ -214,8 +216,9 @@ class TransitionKernel:
             v = v @ self.matrix
             yield v
 
-    def backward(self, cols: np.ndarray, steps: int, mask=None, pin=None):
-        """Yield K^l cols for l = 1..steps, one matrix product each.
+    def backward(self, cols: np.ndarray, steps: int, mask=None, pin=None) -> np.ndarray:
+        """The table ``out[l]`` = K^l cols for l = 0..steps, one matrix
+        product per step; ``out[0]`` is ``cols``.
 
         ``mask`` (ordinals) zeroes those rows before every product but the
         first (first passage); ``pin`` (ordinals) resets those rows to their
@@ -227,13 +230,14 @@ class TransitionKernel:
         if pin is not None:
             pin = list(pin)
             frozen = cols[pin]
-        for l in range(steps):
-            if mask is not None and l:
-                cols = keep * cols
-            cols = self.matrix @ cols
+        out = np.empty((steps + 1,) + cols.shape)
+        out[0] = cols
+        for l in range(1, steps + 1):
+            prev = keep * out[l - 1] if mask is not None and l > 1 else out[l - 1]
+            out[l] = self.matrix @ prev
             if pin is not None:
-                cols[pin] = frozen
-            yield cols
+                out[l, pin] = frozen
+        return out
 
 
 def _atom_shift_tables(model: BranchingModel, space: StateSpace):
@@ -310,13 +314,8 @@ def hitting_columns(
     """
     space = kernel.space
     cols = np.zeros((space.size, len(targets)))
-    for j, target in enumerate(targets):
-        cols[space.ordinal(target), j] = 1.0
-    out = np.empty((t_max + 1, space.size, len(targets)))
-    out[0] = cols
-    for t, cols in enumerate(kernel.backward(cols, t_max), 1):
-        out[t] = cols
-    return out
+    cols[list(map(space.ordinal, targets)), range(len(targets))] = 1.0
+    return kernel.backward(cols, t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +364,12 @@ def restricted_kernel(
     ordinals = _stopping_ordinals(space, stopping)
     cols = np.zeros((space.size, len(targets)))
     cols[ordinals, range(len(targets))] = 1.0
-    values = np.empty((t_max, space.size, len(targets)))
-    for t, cols in enumerate(kernel.backward(cols, t_max, mask=ordinals)):
-        values[t] = cols
     return RestrictedKernel(
         stopping=stopping,
         targets=targets,
         target_ordinals=tuple(ordinals),
         t_max=t_max,
-        values=values,
+        values=kernel.backward(cols, t_max, mask=ordinals)[1:],
     )
 
 
@@ -514,11 +510,7 @@ def stopped_hitting_column(
     ordinals = _stopping_ordinals(space, stopping)
     col = np.zeros(space.size)
     col[space.ordinal(r)] = 1.0
-    out = np.empty((t_max + 1, space.size))
-    out[0] = col
-    for t, col in enumerate(kernel.backward(col, t_max, pin=ordinals), 1):
-        out[t] = col
-    return out
+    return kernel.backward(col, t_max, pin=ordinals)
 
 
 def _formula_sum(c: np.ndarray, hits: np.ndarray, t: int) -> float:
@@ -601,11 +593,11 @@ def series_absorptions(
     steps = int(terms.max(initial=0))
     r0 = stopping.max_total
     monomials = math.comb(r0 + model.k, model.k)
-    if monomials > DEFAULT_STATE_LIMIT:
+    if monomials > STATE_LIMIT:
         raise CapacityError(
             f"stopping set reaches total r0={r0}: laws truncated at degree r0 in "
             f"k={model.k} types have C(r0 + k, k) = {monomials} monomials, above the "
-            f"limit {DEFAULT_STATE_LIMIT}"
+            f"limit {STATE_LIMIT}"
         )
     space = enumerate_states(model.k, r0)
     members = stopping.sorted_members()
@@ -665,16 +657,15 @@ def absorption_table(
 ) -> AbsorptionTable:
     """Tabulate q(n -> r, t) by all three routes from one forward block.
 
-    Each step multiplies one block of rows by the kernel, V <- V K:
-    * the stopped chain from each start n: the stopping columns are taken
-      out before the product and added back after it, so that mass stays;
-      the direct route reads column r;
-    * the masked chain from each start n: the stopping columns are zeroed
-      before every product but the first, so row l holds the first passages
-      at step l; the restricted route sums column r (equal to the direct
-      route bit for bit: outside S both do the same arithmetic);
-    * the masked chain from each stopping state alpha: its stopping columns
-      are the first-passage table of the stop coefficients;
+    Each step multiplies one block of 2n + m rows by the kernel, V <- V K:
+    * the masked chain from each of the n starts: the stopping columns are
+      zeroed before every product but the first, so row l holds the first
+      passages at step l.  Their partial sums in column r are the restricted
+      route, and also the direct one: the stopped chain from n agrees with
+      this row outside S, and at r holds exactly these partial sums, so one
+      array serves both;
+    * the masked chain from each of the m stopping states alpha: its
+      stopping columns are the first-passage table of the stop coefficients;
     * the free chain from each start n: its stopping columns are the hits of
       the formula route, and its overflow entry at t fills the overflow bound
       column, the free-chain mass that has left the capped space by time t
@@ -689,29 +680,27 @@ def absorption_table(
     j = members.index(r)
     n, m = len(n_list), len(members)
     starts = [space.ordinal(x) for x in n_list]
-    free = 2 * n + m  # rows: stopped n | masked n | masked alpha | free n
+    free = n + m  # rows: masked n | masked alpha | free n
     block = np.zeros((free + n, space.size))
-    block[range(free + n), starts + starts + stops + starts] = 1.0
+    block[range(free + n), starts + stops + starts] = 1.0
     cols = np.array(stops + [space.overflow])
     in_s = cols[:m]
     seen = np.zeros((t_max + 1, free + n, m + 1))  # seen[l] = block[:, cols] after step l
     for l in range(1, t_max + 1):
-        held = block[:n, in_s]
-        block[: free if l > 1 else n, in_s] = 0.0
+        if l > 1:
+            block[:free, in_s] = 0.0
         block = block @ kernel.matrix
-        block[:n, in_s] += held
         seen[l] = block[:, cols]
-    direct = seen[:, :n, j]
-    restricted = np.cumsum(seen[:, n: 2 * n, j], axis=0)
+    absorbed = np.cumsum(seen[:, :n, j], axis=0)
     hits, overflow = seen[:, free:, :m], seen[:, free:, m]
     # c[alpha, u] = c(u + 1, 1) for target r: 1{alpha = r} minus first
     # passages alpha -> r in at most u steps
-    c = np.eye(m)[:, j, None] - np.cumsum(seen[:t_max, 2 * n: free, j], axis=0).T
+    c = np.eye(m)[:, j, None] - np.cumsum(seen[:t_max, n:free, j], axis=0).T
     table = AbsorptionTable()
     for i, x in enumerate(n_list):
         for t in t_list:
-            bound = float(overflow[t, i])
-            table.add(x, r, t, "direct", float(direct[t, i]), bound)
+            bound, q = float(overflow[t, i]), float(absorbed[t, i])
+            table.add(x, r, t, "direct", q, bound)
             table.add(x, r, t, "formula", _formula_sum(c, hits[:, i], t), bound)
-            table.add(x, r, t, "restricted", float(restricted[t, i]), bound)
+            table.add(x, r, t, "restricted", q, bound)
     return table

@@ -19,7 +19,6 @@ import numpy as np
 from stopbp import exact_engine
 from stopbp.model import BranchingModel, PopulationState, unit_state
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 SNAPSHOT_LAG = 5
 
 
@@ -281,20 +280,28 @@ def truncated_law_blocks(model: BranchingModel, space, counts, steps: int):
                                         v_block[: i + 1])
 
 
+def _first_primes(k: int) -> list[int]:
+    """The first k primes, by trial division by the primes found so far."""
+    primes, n = [], 2
+    while len(primes) < k:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
 def make_s_grid(k: int, n_points: int) -> np.ndarray:
     """Deterministic argument grid in [0, 1)^k.
 
-    A Kronecker additive-recurrence lattice (irrational steps sqrt(prime)),
-    prefixed, for k <= 5, with the product grid {0, 0.5, 0.9}^k.  Stable
-    across runs by construction; no RNG involved.
+    A Kronecker additive-recurrence lattice, whose steps are the square roots
+    of the first k primes, prefixed, for k <= 5, with the product grid
+    {0, 0.5, 0.9}^k.  Stable across runs by construction; no RNG involved.
     """
-    if k > len(_PRIMES):
-        raise ValueError(f"grids support up to {len(_PRIMES)} types")
     rows = []
     if k <= 5:
         mesh = np.meshgrid(*([np.array([0.0, 0.5, 0.9])] * k), indexing="ij")
         rows.append(np.stack([m.ravel() for m in mesh], axis=1))
-    alpha = np.sqrt(np.array(_PRIMES[:k], dtype=float))
+    alpha = np.sqrt(np.array(_first_primes(k), dtype=float))
     m = np.arange(1, n_points + 1)[:, None]
     rows.append((m * alpha[None, :]) % 1.0)
     return np.concatenate(rows, axis=0)

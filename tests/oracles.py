@@ -295,8 +295,8 @@ def limiting_absorptions(kernel, stopping, summary, starts, r, tol=1e-10):
     non-subcritical models, for which the bound is invalid
     (``geometric_tail_bound`` raises).
 
-    One backward pass, with the stopping rows pinned, propagates two
-    columns, K^l e_r and K^l e_overflow, one matvec per column per step up
+    Two backward tables, with the stopping rows pinned, propagate the
+    columns K^l e_r and K^l e_overflow, one matvec per column per step up
     to the largest T_n; each start reads its value and the stopped chain's
     overflow mass at its own T_n.
     """
@@ -314,12 +314,8 @@ def limiting_absorptions(kernel, stopping, summary, starts, r, tol=1e-10):
     ov = np.zeros(space.size)
     ov[space.overflow] = 1.0
     steps = int(terms.max(initial=0))
-    values, overflow = np.empty(len(rows)), np.empty(len(rows))
-    pairs = zip(kernel.backward(hit, steps, pin=pin), kernel.backward(ov, steps, pin=pin))
-    for t, (hit, ov) in enumerate(pairs, 1):
-        due = terms == t
-        values[due] = hit[rows[due]]
-        overflow[due] = ov[rows[due]]
+    values = kernel.backward(hit, steps, pin=pin)[terms, rows]
+    overflow = kernel.backward(ov, steps, pin=pin)[terms, rows]
     return [
         DenseLimit(value=float(value), tail_bound=bound, overflow_mass=float(mass), terms=t)
         for (t, bound), value, mass in zip(horizons, values, overflow)

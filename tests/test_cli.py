@@ -333,6 +333,17 @@ class TestNonFiniteAndNonpositiveArguments:
         assert main(["probe", "--model", m1_path, "--r", "[2]", f"--n-grid={grid}"]) == 2
         assert "--n-grid totals must be positive" in caplog.text
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--cap", "-1", "--cap must be nonnegative"),
+        ("--t", "-1", "--t must be nonnegative"),
+        ("--reps", "0", "--reps must be positive"),
+        ("--workers", "0", "--workers must be positive"),
+    ])
+    def test_option_bounds_are_named(self, m1_path, caplog, flag, value, message):
+        # --cap and --t accept 0, so their message says nonnegative
+        assert main(["classify", "--model", m1_path, flag, value]) == 2
+        assert message in caplog.text
+
 
 class TestOutsideTheorem:
     """Decomposable and periodic models exit 1, as a supercritical one does."""
@@ -648,6 +659,19 @@ class TestEstimate:
         assert outs[0] == outs[1]
 
 
+def cycle_model(k):
+    """k types; type i begets nothing, itself, or itself and type i + 1
+    (mod k), so the mean matrix is 0.5 I plus 0.3 times a cyclic shift:
+    irreducible, aperiodic, delta = 0.8."""
+    units = [unit_state(i, k).counts for i in range(1, k + 1)]
+    laws = tuple(OffspringLaw((
+        (PopulationState((0,) * k), 0.5),
+        (PopulationState(unit), 0.2),
+        (PopulationState(tuple(a + b for a, b in zip(unit, units[i % k]))), 0.3),
+    )) for i, unit in enumerate(units, 1))
+    return BranchingModel(tuple(f"t{i}" for i in range(k)), laws)
+
+
 class TestVerify:
     def test_builtin_pair_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -670,6 +694,25 @@ class TestVerify:
 
     def test_single_model(self, m1_path, capsys):
         assert main(["verify", "--model", m1_path]) == 0
+
+    def test_out_writes_the_lines_to_the_file(self, tmp_path, capsys):
+        path = tmp_path / "verify.txt"
+        assert main(["verify", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = path.read_text().splitlines()
+        assert len(lines) == 24
+        assert all(line.startswith("[PASS]") for line in lines)
+
+    def test_eleven_types(self, tmp_path, capsys):
+        # the argument grid of the mean-dominance check once stopped at ten
+        # types; the state rule gives cap 3 (364 states) here
+        k = 11
+        path = tmp_path / "k11.json"
+        path.write_text(dump_model(cycle_model(k), StoppingSet(frozenset([unit_state(1, k)]))))
+        assert main(["verify", "--model", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12
+        assert all(line.startswith("[PASS]") for line in lines)
 
     def test_decomposable_skips_the_perron_checks(self, capsys):
         # no Perron triple: the two checks that need one print [SKIP] with
@@ -710,14 +753,7 @@ class TestVerify:
             return built[-1]
 
         monkeypatch.setattr(exact_engine, "enumerate_states", spy)
-        # type i begets nothing, itself, or itself and type i + 1 (mod k)
-        units = [unit_state(i, k).counts for i in range(1, k + 1)]
-        laws = tuple(OffspringLaw((
-            (PopulationState((0,) * k), 0.5),
-            (PopulationState(unit), 0.2),
-            (PopulationState(tuple(a + b for a, b in zip(unit, units[i % k]))), 0.3),
-        )) for i, unit in enumerate(units, 1))
-        model = BranchingModel(tuple(f"t{i}" for i in range(k)), laws)
+        model = cycle_model(k)
         stopping = StoppingSet(frozenset([unit_state(1, k)]))
         for cap, before in ((cli.RunConfig.cap, {1: 200, 2: 30}), (20, {1: 20, 2: 20})):
             invariants.battery(model, stopping, cap)

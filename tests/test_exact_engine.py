@@ -65,7 +65,7 @@ def route_references(kernel, stopping, r, t_max):
         "formula": formula,
         "restricted": partial,
     }
-    return routes, np.array([overflow, *kernel.backward(overflow, t_max)])
+    return routes, kernel.backward(overflow, t_max)
 
 
 def table_values(kernel, stopping, n, r, t_list):
@@ -114,9 +114,10 @@ class TestEnumerateStates:
         space = enumerate_states(3, 6)
         assert len(set(map(tuple, space.counts.tolist()))) == space.n_states
 
-    def test_capacity_limit(self):
+    def test_capacity_limit(self, monkeypatch):
+        monkeypatch.setattr(exact_engine, "STATE_LIMIT", 100)
         with pytest.raises(CapacityError):
-            enumerate_states(3, 10, limit=100)
+            enumerate_states(3, 10)
 
     def test_default_limit_counts_kernel_bytes(self):
         # 501,501 states: the dense kernel alone would need about 1.8 TiB
@@ -297,8 +298,9 @@ class TestPropagation:
         kernel = one_step_kernel(model, enumerate_states(model.k, cap))
         c = np.random.default_rng(3).random(kernel.space.size)
         n = kernel.space.ordinal(S(start))
-        pairs = zip(kernel.forward(S(start), 30), kernel.backward(c, 30))
-        for row, col in pairs:
+        table = kernel.backward(c, 30)
+        assert np.array_equal(table[0], c)
+        for row, col in zip(kernel.forward(S(start), 30), table[1:]):
             assert abs(float(row @ c) - col[n]) <= 1e-14
 
     def test_pinned_backward_is_stopped_chain(self, request, name, cap, start):
@@ -308,7 +310,7 @@ class TestPropagation:
         pin = [kernel.space.ordinal(s) for s in stopping]
         states = [kernel.space.ordinal(s) for s in (S(start), *stopping)]
         rows = np.eye(kernel.space.size)[states]
-        for power in kernel.backward(np.eye(kernel.space.size), 30, pin=pin):
+        for power in kernel.backward(np.eye(kernel.space.size), 30, pin=pin)[1:]:
             rows = rows @ stopped
             assert np.max(np.abs(power[states] - rows)) <= 1e-14
 

@@ -544,6 +544,12 @@ class TestSGrid:
         g = make_s_grid(3, 50)
         assert np.all(g >= 0.0) and np.all(g < 1.0)
 
+    @pytest.mark.parametrize("k", range(6, 12))
+    def test_one_more_type_keeps_the_columns(self, k):
+        # the steps are the first k primes for any k, so a grid for ten types
+        # or fewer is what it was, and eleven or more types get one
+        np.testing.assert_array_equal(make_s_grid(k + 1, 40)[:, :k], make_s_grid(k, 40))
+
     def test_includes_corner_block(self):
         g = make_s_grid(2, 4)
         assert any(np.array_equal(row, [0.0, 0.0]) for row in g)
